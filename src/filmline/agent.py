@@ -10,15 +10,16 @@ afterwards so collection always restarts from the freshly updated policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, clip, exp, minimum, mul, square, sub
+from .environment import run_episodes
 from .nets import (
-    BranchSpec, CriticNetwork, PolicyNetwork, gaussian_entropy, gaussian_log_prob,
-    log_prob_value, sample_action,
+    BranchSpec, CriticNetwork, PolicyNetwork, config_fingerprint, gaussian_entropy,
+    gaussian_log_prob, load_checkpoint, log_prob_value, sample_action, save_checkpoint,
 )
 from .optim import Adam, clip_grad_norm
 
@@ -108,7 +109,6 @@ class UpdateConfig:
     entropy_coef: float = 0.01
     grad_clip: float = 0.5
     adv_eps: float = 1e-8
-    standardize_returns: bool = False  # standardize G instead of the advantages
     trunk_sizes: tuple = (64, 64)
 
     def __post_init__(self):
@@ -255,12 +255,7 @@ class MultiPathPpoAgent:
             v = old_values[:, self.head_index(i)]
             adv, targets = gae_advantages(rewards, v, dones, b.discount, cfg.gae_lambda,
                                           next_values=next_head_values[:, self.head_index(i)])
-            if cfg.standardize_returns:
-                targets = standardize(targets, cfg.adv_eps)
-                adv = targets - v
-            else:
-                adv = standardize(adv, cfg.adv_eps)
-            branch_adv.append(adv)
+            branch_adv.append(standardize(adv, cfg.adv_eps))
             branch_targets.append(targets)
 
         stats = {"policy_loss": [], "value_loss": [], "entropy": [],
@@ -338,13 +333,20 @@ class MultiPathPpoAgent:
         named.update(self.critic.named_tensors())
         return named
 
-    def config_description(self) -> dict:
-        return {
+    def fingerprint(self) -> str:
+        return config_fingerprint({
             "branches": [vars(b) for b in self.branches],
             "cfg": vars(self.cfg),
             "shared_advantage": self.shared_advantage,
             "state_dim": self.policy.state_dim,
-        }
+        })
+
+    def save(self, path):
+        save_checkpoint(path, self.named_tensors(), {"fingerprint": self.fingerprint()})
+
+    def load(self, path):
+        """Load parameters saved by an agent of the same configuration, in place."""
+        load_checkpoint(path).restore(self.named_tensors(), self.fingerprint())
 
 
 # ----------------------------------------------------------------------
@@ -389,29 +391,6 @@ def train_agent(env, agent: MultiPathPpoAgent, episodes: int, steps_per_episode:
     return curve
 
 
-def evaluate_greedy(env, agent: MultiPathPpoAgent, episodes: int = 10,
-                    steps_per_episode: int | None = None):
+def evaluate_greedy(env, agent: MultiPathPpoAgent, episodes: int = 10):
     """Deterministic (mean-action) rollouts; returns per-episode records."""
-    steps = steps_per_episode or env.episode.max_steps
-    records = []
-    for ep in range(episodes):
-        state = env.reset()
-        optimize_step = steps
-        trace = []
-        for t in range(steps):
-            action, _, _ = agent.act(state, greedy=True)
-            state, r, done, info = env.step(action)
-            trace.append(info)
-            if info["within_tolerance"]:
-                optimize_step = info["step"]
-                break
-            if done:
-                break
-        records.append({
-            "episode": ep,
-            "optimize_step": optimize_step,
-            "width_err": trace[-1]["width_error_mm"],
-            "thickness_err": trace[-1]["thickness_error_mm"],
-            "trace": trace,
-        })
-    return records
+    return run_episodes(env, lambda state: agent.act(state, greedy=True)[0], episodes)

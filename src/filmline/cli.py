@@ -12,7 +12,6 @@ Verbs:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,24 +20,18 @@ import numpy as np
 
 from . import harness
 from .agent import MultiPathPpoAgent, evaluate_greedy
-from .environment import EpisodeConfig, FilmLineEnv, ForecastBackend, oracle_eval
+from .environment import FilmLineEnv, ForecastBackend, oracle_eval
 from .forecaster import load_series, save_series
 from .harness import (
-    AppConfig, load_config, run_ablations, run_cell, run_grid, scenario_tag,
+    load_config, parse_scenario, run_ablations, run_cell, run_grid, scenario_tag,
     stable_seed, train_or_load_forecasters, variant_setup,
 )
-from .nets import config_fingerprint, load_checkpoint
 
 
 def _add_common(p):
     p.add_argument("--config", default=None, help="path to an INI configuration file")
     p.add_argument("--out-dir", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-
-
-def _parse_scenario(text):
-    w, h = text.split("/")
-    return float(w), float(h)
 
 
 def cmd_train_forecaster(args):
@@ -57,7 +50,7 @@ def cmd_train_forecaster(args):
 def cmd_train_agent(args):
     cfg = load_config(args.config)
     models = train_or_load_forecasters(cfg, args.out_dir)
-    scenario = _parse_scenario(args.scenario)
+    scenario = parse_scenario(args.scenario)
     rec = run_cell(cfg, models, args.variant, scenario, args.steps, args.seed,
                    out_dir=args.out_dir)
     if rec.failed:
@@ -88,7 +81,7 @@ def cmd_run_ablations(args):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config)
-    scenario = _parse_scenario(args.scenario)
+    scenario = tuple(parse_scenario(args.scenario))
     episode_cfg = replace(cfg.env, width_target=scenario[0], thickness_target=scenario[1],
                           max_steps=args.steps)
     branches, shared, reward_cfg = variant_setup(args.variant, cfg.agent, cfg.reward)
@@ -96,8 +89,7 @@ def cmd_evaluate(args):
                               seed=0, shared_advantage=shared)
     ckpt = os.path.join(args.out_dir, "runs", args.variant, scenario_tag(scenario),
                         f"{args.steps}step", f"seed{args.seed}", "checkpoint.npz")
-    load_checkpoint(ckpt, agent.named_tensors(),
-                    config_fingerprint(agent.config_description()))
+    agent.load(ckpt)
 
     if args.oracle:
         policy = lambda s: agent.act(s, greedy=True)[0]

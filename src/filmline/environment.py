@@ -147,8 +147,7 @@ class ForecastBackend:
     the training-set means for the auxiliary channels.
     """
 
-    def __init__(self, width_model: LstnetModel, thickness_model: LstnetModel,
-                 feedback_smoothing: int = 1):
+    def __init__(self, width_model: LstnetModel, thickness_model: LstnetModel):
         if width_model.norm.feature_names != thickness_model.norm.feature_names:
             raise ValueError("width/thickness forecasters disagree on the feature schema")
         self.width_model = width_model
@@ -162,26 +161,17 @@ class ForecastBackend:
         # predictions are written back into the window as-is; the periodic
         # gauge component is keyed to the (frozen) roll-angle channel rather
         # than the reading history, so the loop does not re-excite itself.
-        # feedback_smoothing > 1 turns on a short boxcar as a safety margin.
-        self._smooth_len = max(int(feedback_smoothing), 1)
         self._window = None
-        self._recent_w: list[float] = []
-        self._recent_h: list[float] = []
         self._w = None
         self._h = None
-
-    def _smoothed(self, recent, fallback):
-        if not recent:
-            return fallback
-        return float(np.mean(recent[-self._smooth_len:]))
 
     def _new_row(self, knife, ds, os_):
         row = self.width_model.norm.mean.copy()  # aux channels sit at training means
         row[self._idx["knife_spacing"]] = knife
         row[self._idx["ds_gap"]] = ds
         row[self._idx["os_gap"]] = os_
-        row[self._idx["width"]] = self._smoothed(self._recent_w, self._w)
-        row[self._idx["thickness"]] = self._smoothed(self._recent_h, self._h)
+        row[self._idx["width"]] = self._w
+        row[self._idx["thickness"]] = self._h
         return row
 
     RAMP_RATE_KNIFE = 2.0  # mm per wash step, matching controller-scale moves
@@ -199,8 +189,6 @@ class ForecastBackend:
         mean = self.width_model.norm.mean
         self._w = float(mean[self._idx["width"]])
         self._h = float(mean[self._idx["thickness"]])
-        self._recent_w = []
-        self._recent_h = []
         k0 = float(mean[self._idx["knife_spacing"]])
         d0 = float(mean[self._idx["ds_gap"]])
         o0 = float(mean[self._idx["os_gap"]])
@@ -228,8 +216,6 @@ class ForecastBackend:
         self._window[-1] = self._new_row(knife, ds, os_)
         self._w = float(self.width_model.predict(self._window))
         self._h = float(self.thickness_model.predict(self._window))
-        self._recent_w = (self._recent_w + [self._w])[-self._smooth_len:]
-        self._recent_h = (self._recent_h + [self._h])[-self._smooth_len:]
         return self._w, self._h
 
 
@@ -459,7 +445,9 @@ class FilmLineEnv:
         hi = np.array([ep.knife_bounds[1], ep.gap_bounds[1], ep.gap_bounds[1]])
         feats.extend(((self._setpoints - lo) / (hi - lo)).tolist())
         state = np.asarray(feats, dtype=np.float64)
-        assert state.shape == (ep.state_dim,)
+        if state.shape != (ep.state_dim,):
+            raise RuntimeError(f"state vector has shape {state.shape}, "
+                               f"expected ({ep.state_dim},)")
         return state
 
     @property
@@ -501,14 +489,25 @@ def oracle_eval(policy, plant_params: PlantParams, episode: EpisodeConfig,
     per-episode records with the same metrics as surrogate episodes.
     """
     backend = PlantBackend(plant_params, noisy=noisy, seed=seed)
-    env = FilmLineEnv(backend, episode, reward, seed=seed)
+    return run_episodes(FilmLineEnv(backend, episode, reward, seed=seed), policy, episodes)
+
+
+def run_episodes(env: FilmLineEnv, policy, episodes: int):
+    """Roll ``policy`` (state -> action) through fresh episodes of ``env``.
+
+    An episode stops at the first step inside both tolerances, or at
+    ``max_steps``, which is then its optimize step. Returns one record per
+    episode with the total reward, the optimize step, the terminal errors
+    and the per-step ``info`` trace.
+    """
+    max_steps = env.episode.max_steps
     records = []
     for ep_i in range(episodes):
         state = env.reset()
         total = 0.0
-        optimize_step = episode.max_steps
+        optimize_step = max_steps
         trace = []
-        for t in range(episode.max_steps):
+        for _ in range(max_steps):
             state, r, done, info = env.step(policy(state))
             total += r
             trace.append(info)

@@ -12,7 +12,6 @@ ordinary-least-squares baseline on the last-step feature vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .autodiff import (
 )
 from . import autodiff as ad
 from .cells import GruParams, LstmParams, gru_cell, lstm_cell
-from .nets import Dense, config_fingerprint
+from .nets import Dense, config_fingerprint, load_checkpoint, save_checkpoint
 from .optim import Adam
 
 
@@ -240,33 +239,23 @@ class LstnetModel:
         return config_fingerprint(desc)
 
     def save(self, path):
-        arrays = {f"param:{k}": v.data for k, v in self.params.named().items()}
-        arrays["norm_mean"] = self.norm.mean
-        arrays["norm_std"] = self.norm.std
         meta = {"cfg": vars(self.cfg), "features": self.norm.feature_names,
                 "target_col": self.norm.target_col, "delta_std": self.norm.delta_std,
                 "fingerprint": self.fingerprint()}
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        save_checkpoint(path, self.params.named(), meta,
+                        norm_mean=self.norm.mean, norm_std=self.norm.std)
 
     @classmethod
-    def load(cls, path) -> "LstnetModel":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            cfg = ForecasterConfig(**meta["cfg"])
-            norm = Normalizer(meta["features"], data["norm_mean"], data["norm_std"],
-                              meta["target_col"], meta["delta_std"])
-            rng = np.random.default_rng(0)
-            params = LstnetParams.init(cfg, len(norm.feature_names), rng)
-            for key, tensor in params.named().items():
-                arr = data[f"param:{key}"]
-                if arr.shape != tensor.data.shape:
-                    raise ValueError(f"checkpoint entry {key}: shape mismatch "
-                                     f"{arr.shape} != {tensor.data.shape}")
-                tensor.data = arr.astype(np.float64)
+    def load(cls, path, cfg: ForecasterConfig) -> "LstnetModel":
+        """Reload a model saved under ``cfg``; one saved under any other
+        configuration is refused with a ``ValueError`` naming the file."""
+        ckpt = load_checkpoint(path)
+        meta = ckpt.meta
+        norm = Normalizer(meta["features"], ckpt.arrays["norm_mean"], ckpt.arrays["norm_std"],
+                          meta["target_col"], meta["delta_std"])
+        params = LstnetParams.init(cfg, len(norm.feature_names), np.random.default_rng(0))
         model = cls(cfg, params, norm)
-        if model.fingerprint() != meta["fingerprint"]:
-            raise ValueError("forecaster checkpoint fingerprint mismatch")
+        ckpt.restore(params.named(), model.fingerprint())
         return model
 
 

@@ -22,12 +22,15 @@ import numpy as np
 from .agent import (
     MultiPathPpoAgent, UpdateConfig, default_branches, evaluate_greedy, train_agent,
 )
-from .environment import EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
+from .environment import (
+    THICKNESS_TOLERANCE, WIDTH_TOLERANCE, EpisodeConfig, FilmLineEnv, ForecastBackend,
+    RewardConfig,
+)
 from .forecaster import (
     ForecasterConfig, LstnetModel, SeriesDataset, evaluate_forecaster,
-    linreg_baseline, save_series, train_forecaster,
+    linreg_baseline, train_forecaster,
 )
-from .nets import BranchSpec, config_fingerprint, save_checkpoint
+from .nets import BranchSpec
 from .plant import PlantParams, generate_dataset
 from .svgplot import LinePlot
 
@@ -110,7 +113,7 @@ def _coerce(section: str, key: str, text: str, example):
             items = [p.strip() for p in inner.split(",") if p.strip()]
             elem = example[0] if len(example) else 0.0
             if isinstance(elem, (list, tuple)) or "/" in text:
-                return [_parse_scenario(p) for p in items]
+                return [parse_scenario(p) for p in items]
             if isinstance(elem, bool):
                 return [_coerce(section, key, p, True) for p in items]
             if isinstance(elem, int):
@@ -125,7 +128,7 @@ def _coerce(section: str, key: str, text: str, example):
         raise ValueError(f"config [{section}] {key}: {exc}") from None
 
 
-def _parse_scenario(text: str):
+def parse_scenario(text: str):
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"scenario must look like WIDTH/THICKNESS, got {text!r}")
@@ -254,20 +257,25 @@ def build_dataset(cfg: AppConfig) -> SeriesDataset:
 
 def train_or_load_forecasters(cfg: AppConfig, out_dir: str, dataset: SeriesDataset | None = None,
                               force: bool = False, verbose: bool = False):
-    """Train (or reload) the width and thickness forecasters for one config."""
+    """Train (or reload) the width and thickness forecasters for one config.
+
+    Stored forecasters saved under a different ``[forecaster]`` config are
+    refused with a ``ValueError`` naming the file, not returned.
+    """
     fdir = os.path.join(out_dir, "forecaster")
     os.makedirs(fdir, exist_ok=True)
     width_path = os.path.join(fdir, "width.npz")
     thick_path = os.path.join(fdir, "thickness.npz")
     if not force and os.path.exists(width_path) and os.path.exists(thick_path):
-        return LstnetModel.load(width_path), LstnetModel.load(thick_path)
+        return (LstnetModel.load(width_path, cfg.forecaster),
+                LstnetModel.load(thick_path, cfg.forecaster))
 
     if dataset is None:
         dataset = build_dataset(cfg)
     plan = cfg.experiment
     metrics_rows = []
     models = {}
-    for target, tolerance in (("width", 1.0), ("thickness", 0.05)):
+    for target, tolerance in (("width", WIDTH_TOLERANCE), ("thickness", THICKNESS_TOLERANCE)):
         model, _ = train_forecaster(cfg.forecaster, dataset, target,
                                     seed=plan.forecaster_seed, verbose=verbose)
         m = evaluate_forecaster(model, dataset, tolerance)
@@ -384,9 +392,7 @@ def persist_record(out_dir: str, record: RunRecord, agent: MultiPathPpoAgent | N
     with open(os.path.join(d, "record.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     if agent is not None:
-        desc = agent.config_description()
-        save_checkpoint(os.path.join(d, "checkpoint.npz"), agent.named_tensors(),
-                        config_fingerprint(desc))
+        agent.save(os.path.join(d, "checkpoint.npz"))
 
 
 def load_records(out_dir: str) -> list[RunRecord]:
@@ -559,8 +565,8 @@ def emit_outputs(records: list[RunRecord], out_dir: str):
             continue
         groups.setdefault((r.variant, r.scenario, r.steps_per_episode), []).append(r)
     for (variant, scenario, steps), group in sorted(groups.items()):
-        for quantity, target, tol in (("width", scenario[0], 1.0),
-                                      ("thickness", scenario[1], 0.05)):
+        for quantity, target, tol in (("width", scenario[0], WIDTH_TOLERANCE),
+                                      ("thickness", scenario[1], THICKNESS_TOLERANCE)):
             trajs = [[info[quantity] for info in r.first_eval_trace] for r in group]
             longest = max(len(t) for t in trajs)
             padded = np.array([t + [t[-1]] * (longest - len(t)) for t in trajs])

@@ -267,22 +267,48 @@ def config_fingerprint(config_obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def save_checkpoint(path, named: dict[str, Tensor], fingerprint: str):
-    arrays = {f"param:{k}": v.data for k, v in named.items()}
-    arrays["__fingerprint__"] = np.frombuffer(fingerprint.encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+def save_checkpoint(path, named: dict[str, Tensor], meta: dict, **arrays: np.ndarray):
+    """Write the one checkpoint layout every model file uses.
+
+    Each tensor of ``named`` becomes a ``param:<name>`` array and each extra
+    array keeps its keyword as its name; ``meta`` is stored as one JSON
+    entry and carries the ``fingerprint`` of the configuration.
+    """
+    entries = {f"param:{k}": v.data for k, v in named.items()}
+    entries.update(arrays)
+    entries["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **entries)
 
 
-def load_checkpoint(path, named: dict[str, Tensor], fingerprint: str):
-    """Load parameter values in place, verifying shapes and the fingerprint."""
-    with np.load(path) as data:
-        stored = bytes(data["__fingerprint__"]).decode()
+@dataclass
+class Checkpoint:
+    """A checkpoint file as read back: its ``meta`` and every other array."""
+
+    path: str
+    meta: dict
+    arrays: dict[str, np.ndarray]
+
+    def restore(self, named: dict[str, Tensor], fingerprint: str):
+        """Load parameter values in place, verifying the fingerprint and shapes."""
+        stored = self.meta.get("fingerprint")
         if stored != fingerprint:
             raise ValueError(
-                f"checkpoint fingerprint {stored!r} does not match expected {fingerprint!r}")
+                f"{self.path}: checkpoint fingerprint {stored!r} does not match expected "
+                f"{fingerprint!r}; it was saved under a different configuration")
         for key, tensor in named.items():
-            arr = data[f"param:{key}"]
+            arr = self.arrays[f"param:{key}"]
             if arr.shape != tensor.data.shape:
-                raise ValueError(
-                    f"checkpoint entry {key}: shape {arr.shape} != expected {tensor.data.shape}")
+                raise ValueError(f"{self.path}: checkpoint entry {key}: shape {arr.shape} "
+                                 f"!= expected {tensor.data.shape}")
             tensor.data = arr.astype(np.float64)
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by ``save_checkpoint``."""
+    with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: no 'meta' entry; checkpoints that store a "
+                             "'__fingerprint__' entry instead no longer load")
+        meta = json.loads(bytes(data["meta"]).decode())
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    return Checkpoint(str(path), meta, arrays)

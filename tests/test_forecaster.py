@@ -211,7 +211,7 @@ def test_model_save_load_roundtrip(tmp_path, micro_models):
     width, _, _ = micro_models
     path = tmp_path / "width.npz"
     width.save(path)
-    loaded = LstnetModel.load(path)
+    loaded = LstnetModel.load(path, width.cfg)
     window = np.random.default_rng(11).normal(400, 5,
                                               size=(width.cfg.window,
                                                     len(width.norm.feature_names)))

@@ -1,14 +1,17 @@
 """Configuration loading, variants, grid cells and output emission."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from filmline import cli
 from filmline.harness import (
     ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord, VARIANTS,
     aggregate_records, emit_outputs, load_config, load_records, mean_step_of,
-    run_cell, run_grid, scenario_tag, stable_seed, variant_setup, write_csv,
+    run_cell, run_grid, scenario_tag, stable_seed, train_or_load_forecasters,
+    variant_setup, write_csv,
 )
 from filmline.svgplot import LinePlot
 
@@ -257,6 +260,38 @@ def test_run_cell_persists_artifacts(tmp_path, tiny_app_config, micro_models):
     loaded = load_records(str(tmp_path))
     assert len(loaded) == 1 and loaded[0].variant == "mpd-ppo"
     assert loaded[0].average_optimize_step == rec.average_optimize_step
+
+
+def test_cli_evaluates_a_run_cell_checkpoint_on_the_true_plant(tmp_path, tiny_app_config,
+                                                              micro_models, capsys):
+    width, thickness, scenario = micro_models
+    rec = run_cell(tiny_app_config, (width, thickness), "mpd-ppo", scenario, 12, 0,
+                   out_dir=str(tmp_path))
+    assert not rec.failed, rec.error
+    cli.main(["evaluate", "--out-dir", str(tmp_path), "--scenario",
+              f"{scenario[0]:g}/{scenario[1]:g}", "--steps", "12", "--episodes", "2",
+              "--oracle"])
+    out = capsys.readouterr().out
+    assert "greedy evaluation on the true plant" in out
+    assert out.count("  episode ") == 2
+
+
+@pytest.mark.parametrize("change", [dict(window=16, lstm_hidden=8), dict(epochs=26)])
+def test_stored_forecasters_load_only_under_their_config(tmp_path, micro_models, change):
+    width, thickness, _ = micro_models
+    fdir = tmp_path / "forecaster"
+    fdir.mkdir()
+    width.save(fdir / "width.npz")
+    thickness.save(fdir / "thickness.npz")
+    cfg = AppConfig()
+    cfg.forecaster = width.cfg
+    loaded_width, _ = train_or_load_forecasters(cfg, str(tmp_path))
+    window = np.tile(width.norm.mean, (width.cfg.window, 1))
+    assert loaded_width.predict(window) == width.predict(window)
+
+    cfg.forecaster = replace(width.cfg, **change)
+    with pytest.raises(ValueError, match="width.npz"):
+        train_or_load_forecasters(cfg, str(tmp_path))
 
 
 def test_run_cell_is_byte_deterministic(tmp_path, tiny_app_config, micro_models):

@@ -1,6 +1,8 @@
 """Policy/critic network behavior, Gaussian closed forms, checkpoints."""
 
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -248,28 +250,42 @@ def test_checkpoint_roundtrip(tmp_path):
     named = net.named_tensors()
     fp = config_fingerprint({"branches": 2, "state_dim": 4})
     path = tmp_path / "policy.npz"
-    save_checkpoint(path, named, fp)
+    save_checkpoint(path, named, {"fingerprint": fp, "note": "kept"}, extra=np.arange(3.0))
     originals = {k: v.data.copy() for k, v in named.items()}
     for v in named.values():
         v.data += 1.0
-    load_checkpoint(path, named, fp)
+    ckpt = load_checkpoint(path)
+    ckpt.restore(named, fp)
     for k, v in named.items():
         assert np.array_equal(v.data, originals[k])
+    assert ckpt.meta == {"fingerprint": fp, "note": "kept"}
+    assert np.array_equal(ckpt.arrays["extra"], np.arange(3.0))
 
 
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     net = PolicyNetwork(4, two_branches(), np.random.default_rng(9))
     path = tmp_path / "p.npz"
-    save_checkpoint(path, net.named_tensors(), "fp-one")
+    save_checkpoint(path, net.named_tensors(), {"fingerprint": "fp-one"})
     with pytest.raises(ValueError, match="fingerprint"):
-        load_checkpoint(path, net.named_tensors(), "fp-two")
+        load_checkpoint(path).restore(net.named_tensors(), "fp-two")
+
+
+def test_checkpoint_without_meta_is_refused_with_its_path(tmp_path):
+    # the layout agent checkpoints had before: params plus a "__fingerprint__" entry
+    path = tmp_path / "old.npz"
+    with zipfile.ZipFile(path, "w") as zf:
+        buf = io.BytesIO()
+        np.save(buf, np.frombuffer(b"fp", dtype=np.uint8))
+        zf.writestr("__fingerprint__.npy", buf.getvalue())
+    with pytest.raises(ValueError, match="old.npz.*__fingerprint__"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
     net = PolicyNetwork(4, two_branches(), np.random.default_rng(9))
     fp = "same"
     path = tmp_path / "p.npz"
-    save_checkpoint(path, net.named_tensors(), fp)
+    save_checkpoint(path, net.named_tensors(), {"fingerprint": fp})
     other = PolicyNetwork(5, two_branches(), np.random.default_rng(9))
     with pytest.raises(ValueError, match="shape"):
-        load_checkpoint(path, other.named_tensors(), fp)
+        load_checkpoint(path).restore(other.named_tensors(), fp)
