@@ -4,8 +4,8 @@ Each action pathway (branch) keeps its own clip range, discount, loss weight
 and value head; the single scalar environment reward feeds every branch's
 advantage estimator. Updates follow the usual clipped-surrogate recipe: K
 epochs of shuffled minibatches, a combined Adam step over actor and critic
-with global gradient-norm clipping, and the rollout buffer cleared
-afterwards so collection always restarts from the freshly updated policy.
+with global gradient-norm clipping, run on exactly the episode just
+collected, so collection always restarts from the freshly updated policy.
 """
 
 from __future__ import annotations
@@ -32,71 +32,6 @@ def default_branches() -> list[BranchSpec]:
         BranchSpec("thickness", action_dims=2, clip_epsilon=0.1, discount=0.99,
                    loss_weight=0.5, init_sigma=0.3),
     ]
-
-
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    log_probs: np.ndarray   # one entry per branch, at collection time
-    values: np.ndarray      # one entry per value head, at collection time
-
-
-class RolloutBuffer:
-    """On-policy store, partitioned per episode; cleared after every update."""
-
-    def __init__(self, min_episodes: int = 1):
-        self.min_episodes = min_episodes
-        self.transitions: list[Transition] = []
-        self.episode_starts: list[int] = []
-        self._episodes_done = 0
-        self._open = False
-
-    def add(self, tr: Transition):
-        if not self._open:
-            self.episode_starts.append(len(self.transitions))
-            self._open = True
-        self.transitions.append(tr)
-        if tr.done:
-            self._episodes_done += 1
-            self._open = False
-
-    def finish_episode(self):
-        """Close an episode that ended without a done flag (external cutoff)."""
-        if self._open:
-            self._episodes_done += 1
-            self._open = False
-
-    @property
-    def full(self) -> bool:
-        return self._episodes_done >= self.min_episodes
-
-    def __len__(self):
-        return len(self.transitions)
-
-    def clear(self):
-        self.transitions.clear()
-        self.episode_starts.clear()
-        self._episodes_done = 0
-        self._open = False
-
-    def arrays(self):
-        if not self.transitions:
-            raise ValueError("rollout buffer is empty")
-        states = np.stack([t.state for t in self.transitions])
-        actions = np.stack([t.action for t in self.transitions])
-        rewards = np.array([t.reward for t in self.transitions])
-        dones = np.array([float(t.done) for t in self.transitions])
-        if not self._open and len(dones) and dones[-1] == 0.0:
-            dones = dones.copy()
-            dones[-1] = 1.0  # externally closed episode bounds the recursion
-        log_probs = np.stack([t.log_probs for t in self.transitions])
-        values = np.stack([t.values for t in self.transitions])
-        next_states = np.stack([t.next_state for t in self.transitions])
-        return states, actions, rewards, dones, log_probs, values, next_states
 
 
 @dataclass
@@ -221,30 +156,38 @@ class MultiPathPpoAgent:
         return 0 if self.shared_advantage else i
 
     # -- acting ----------------------------------------------------------
-    def act(self, state: np.ndarray, greedy: bool = False):
-        """Sample (or take the mean of) one action; returns extras for the buffer."""
+    def act(self, state: np.ndarray):
+        """Sample one action; returns it with its per-branch log-probs and values."""
         with ad.no_grad():
             outs = self.policy.forward(state)
         values = self.critic.values(state)[0]
-        if greedy:
-            action = np.concatenate([mean.data[0] for mean, _ in outs])
-        else:
-            action = sample_action(outs, self.rng)
+        action = sample_action(outs, self.rng)
         log_probs = np.array([
             log_prob_value(mean.data[0], std.data, action[self.branch_slice(i)])
             for i, (mean, std) in enumerate(outs)
         ])
         return action, log_probs, values
 
+    def mean_action(self, state: np.ndarray) -> np.ndarray:
+        """The deterministic action: every branch's Gaussian mean."""
+        with ad.no_grad():
+            outs = self.policy.forward(state)
+        return np.concatenate([mean.data[0] for mean, _ in outs])
+
     # -- updating ----------------------------------------------------------
-    def update(self, buffer: RolloutBuffer) -> dict:
-        """One full clipped-surrogate update; clears the buffer afterwards."""
-        if not buffer.full:
-            raise ValueError("update() called before the rollout buffer reached "
-                             f"{buffer.min_episodes} complete episode(s)")
+    def update(self, states, final_state, actions, rewards, old_lps, old_values) -> dict:
+        """One full clipped-surrogate update on one collected episode.
+
+        ``states`` holds the n visited states the actions were taken in and
+        ``final_state`` the successor of the last one; ``old_lps`` and
+        ``old_values`` are what ``act`` returned at collection time. Only the
+        last step ends the episode.
+        """
         cfg = self.cfg
-        states, actions, rewards, dones, old_lps, old_values, next_states = buffer.arrays()
         n = len(states)
+        dones = np.zeros(n)
+        dones[-1] = 1.0
+        next_states = np.concatenate([states[1:], final_state[None]])
         # episode ends are truncations of a continuing process: bootstrap the
         # successor value so completing an objective is not value-penalized
         next_head_values = self.critic.values(next_states)
@@ -269,7 +212,6 @@ class MultiPathPpoAgent:
                 self._minibatch_step(states[mb], actions[mb], old_lps[mb],
                                      [a[mb] for a in branch_adv],
                                      [t[mb] for t in branch_targets], stats)
-        buffer.clear()
         return {
             "policy_loss": float(np.mean(stats["policy_loss"])),
             "value_loss": float(np.mean(stats["value_loss"])),
@@ -354,38 +296,36 @@ class MultiPathPpoAgent:
 # ----------------------------------------------------------------------
 
 def train_agent(env, agent: MultiPathPpoAgent, episodes: int, steps_per_episode: int):
-    """The interaction loop: collect one episode, update, repeat.
+    """The interaction loop: collect one episode, update on it, repeat.
 
-    Returns one record per episode with the total reward, the first step at
-    which both objectives were inside tolerance (the episode length when they
-    never were), and the terminal errors.
+    Episodes run to the environment's own end, so ``steps_per_episode`` must
+    equal ``env.episode.max_steps``. Returns one record per episode with the
+    total reward, the first step at which both objectives were inside
+    tolerance (the episode length when they never were), and the terminal
+    errors.
     """
-    buffer = RolloutBuffer(min_episodes=1)
+    if steps_per_episode != env.episode.max_steps:
+        raise ValueError(f"train_agent: steps_per_episode {steps_per_episode} != "
+                         f"env.episode.max_steps {env.episode.max_steps}")
     curve = []
     for ep in range(episodes):
-        state = env.reset()
-        total = 0.0
-        optimize_step = steps_per_episode
-        last_info = None
-        for t in range(steps_per_episode):
-            action, lps, vals = agent.act(state)
-            next_state, r, done, info = env.step(action)
-            buffer.add(Transition(state, action, r, next_state, done, lps, vals))
-            state = next_state
-            total += r
-            last_info = info
-            if info["within_tolerance"] and optimize_step == steps_per_episode:
-                optimize_step = info["step"]
-            if done:
-                break
-        buffer.finish_episode()
-        up_stats = agent.update(buffer)
+        acted = []
+
+        def policy(state):
+            acted.append(agent.act(state))
+            return acted[-1][0]
+
+        (rec,) = run_episodes(env, policy, 1)
+        actions, log_probs, values = (np.stack(column) for column in zip(*acted))
+        states = rec["states"]
+        up_stats = agent.update(states[:-1], states[-1], actions, rec["rewards"],
+                                log_probs, values)
         curve.append({
             "episode": ep,
-            "total_reward": total,
-            "optimize_step": optimize_step,
-            "width_err": last_info["width_error_mm"],
-            "thickness_err": last_info["thickness_error_mm"],
+            "total_reward": rec["total_reward"],
+            "optimize_step": rec["optimize_step"],
+            "width_err": rec["width_err"],
+            "thickness_err": rec["thickness_err"],
             "entropy": up_stats["entropy"],
         })
     return curve
@@ -393,4 +333,4 @@ def train_agent(env, agent: MultiPathPpoAgent, episodes: int, steps_per_episode:
 
 def evaluate_greedy(env, agent: MultiPathPpoAgent, episodes: int = 10):
     """Deterministic (mean-action) rollouts; returns per-episode records."""
-    return run_episodes(env, lambda state: agent.act(state, greedy=True)[0], episodes)
+    return run_episodes(env, agent.mean_action, episodes)

@@ -92,8 +92,7 @@ def cmd_evaluate(args):
     agent.load(ckpt)
 
     if args.oracle:
-        policy = lambda s: agent.act(s, greedy=True)[0]
-        records = oracle_eval(policy, cfg.plant, episode_cfg, reward_cfg,
+        records = oracle_eval(agent.mean_action, cfg.plant, episode_cfg, reward_cfg,
                               seed=args.seed, episodes=args.episodes)
     else:
         models = train_or_load_forecasters(cfg, args.out_dir)

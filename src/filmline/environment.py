@@ -12,6 +12,7 @@ adjustable weights and clipped to a fixed range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -216,6 +217,10 @@ class ForecastBackend:
         self._window[-1] = self._new_row(knife, ds, os_)
         self._w = float(self.width_model.predict(self._window))
         self._h = float(self.thickness_model.predict(self._window))
+        for name, value in (("width", self._w), ("thickness", self._h)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} forecaster predicted {value} at set-points "
+                                 f"knife={knife}, ds={ds}, os={os_}")
         return self._w, self._h
 
 
@@ -497,8 +502,12 @@ def run_episodes(env: FilmLineEnv, policy, episodes: int):
 
     An episode stops at the first step inside both tolerances, or at
     ``max_steps``, which is then its optimize step. Returns one record per
-    episode with the total reward, the optimize step, the terminal errors
-    and the per-step ``info`` trace.
+    episode with the total reward, the optimize step, the terminal errors,
+    the visited ``states`` (one row per step plus the final successor), the
+    per-step ``rewards`` and the per-step ``info`` trace.
+
+    This is the one loop that steps an environment: training collects
+    through it too, with a policy that keeps what it sampled.
     """
     max_steps = env.episode.max_steps
     records = []
@@ -506,10 +515,12 @@ def run_episodes(env: FilmLineEnv, policy, episodes: int):
         state = env.reset()
         total = 0.0
         optimize_step = max_steps
-        trace = []
+        states, rewards, trace = [state], [], []
         for _ in range(max_steps):
             state, r, done, info = env.step(policy(state))
             total += r
+            states.append(state)
+            rewards.append(r)
             trace.append(info)
             if info["within_tolerance"]:
                 optimize_step = info["step"]
@@ -522,6 +533,8 @@ def run_episodes(env: FilmLineEnv, policy, episodes: int):
             "optimize_step": optimize_step,
             "width_err": trace[-1]["width_error_mm"],
             "thickness_err": trace[-1]["thickness_error_mm"],
+            "states": np.stack(states),
+            "rewards": np.array(rewards),
             "trace": trace,
         })
     return records

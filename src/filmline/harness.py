@@ -318,7 +318,11 @@ def scenario_tag(scenario) -> str:
 
 def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: int,
              out_dir: str | None = None) -> RunRecord:
-    """Train and evaluate one grid cell; crashes become failed records."""
+    """Train and evaluate one grid cell; crashes become failed records.
+
+    With ``out_dir`` the record is persisted either way; a failed one has no
+    checkpoint.
+    """
     started = time.perf_counter()
     scenario = tuple(float(v) for v in scenario)
     try:
@@ -341,12 +345,13 @@ def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: i
             wall_time=time.perf_counter() - started,
         )
     except Exception as exc:  # a failed run is recorded, the grid continues
-        return RunRecord(
+        record = RunRecord(
             variant=variant, scenario=scenario, steps_per_episode=steps, seed=seed,
             average_optimize_step=float(steps), eval_steps=[], curve=[],
             first_eval_trace=[], wall_time=time.perf_counter() - started,
             failed=True, error=f"{type(exc).__name__}: {exc}",
         )
+        agent = None
     if out_dir is not None:
         persist_record(out_dir, record, agent)
     return record

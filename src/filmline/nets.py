@@ -296,7 +296,9 @@ class Checkpoint:
                 f"{self.path}: checkpoint fingerprint {stored!r} does not match expected "
                 f"{fingerprint!r}; it was saved under a different configuration")
         for key, tensor in named.items():
-            arr = self.arrays[f"param:{key}"]
+            arr = self.arrays.get(f"param:{key}")
+            if arr is None:
+                raise ValueError(f"{self.path}: checkpoint has no entry param:{key}")
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"{self.path}: checkpoint entry {key}: shape {arr.shape} "
                                  f"!= expected {tensor.data.shape}")

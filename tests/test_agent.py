@@ -8,11 +8,10 @@ import pytest
 from filmline import autodiff as ad
 from filmline.autodiff import Tensor, backward
 from filmline.agent import (
-    MultiPathPpoAgent, RolloutBuffer, Transition, UpdateConfig, clipped_surrogate,
-    default_branches, discounted_returns, evaluate_greedy, gae_advantages,
-    standardize, train_agent,
+    MultiPathPpoAgent, UpdateConfig, clipped_surrogate, default_branches,
+    discounted_returns, evaluate_greedy, gae_advantages, standardize, train_agent,
 )
-from filmline.environment import EpisodeConfig, FilmLineEnv, RewardConfig
+from filmline.environment import EpisodeConfig, FilmLineEnv, RewardConfig, run_episodes
 from filmline.nets import gaussian_log_prob
 
 from test_environment import LinearBackend
@@ -30,18 +29,18 @@ def make_agent(seed=0, cfg=None, branches=None, shared=False):
                              shared_advantage=shared)
 
 
-def fill_buffer(env, agent, steps=25):
-    buffer = RolloutBuffer()
-    state = env.reset()
-    for _ in range(steps):
-        action, lps, vals = agent.act(state)
-        nxt, r, done, info = env.step(action)
-        buffer.add(Transition(state, action, r, nxt, done, lps, vals))
-        state = nxt
-        if done:
-            break
-    buffer.finish_episode()
-    return buffer
+def collect(env, agent):
+    """One sampled episode as the arguments of ``agent.update``."""
+    acted = []
+
+    def policy(state):
+        acted.append(agent.act(state))
+        return acted[-1][0]
+
+    (rec,) = run_episodes(env, policy, 1)
+    actions, log_probs, values = (np.stack(column) for column in zip(*acted))
+    states = rec["states"]
+    return states[:-1], states[-1], actions, rec["rewards"], log_probs, values
 
 
 # ----------------------------------------------------------------------
@@ -174,63 +173,13 @@ def test_differentiated_clipping_is_observable():
 
 
 # ----------------------------------------------------------------------
-# rollout buffer
-# ----------------------------------------------------------------------
-
-def make_transition(reward=1.0, done=False):
-    return Transition(np.zeros(3), np.zeros(2), reward, np.zeros(3), done,
-                      np.zeros(2), np.zeros(2))
-
-
-def test_buffer_full_after_one_episode():
-    buf = RolloutBuffer(min_episodes=1)
-    assert not buf.full
-    buf.add(make_transition())
-    assert not buf.full
-    buf.add(make_transition(done=True))
-    assert buf.full
-
-
-def test_buffer_finish_episode_closes_open_episode():
-    buf = RolloutBuffer()
-    buf.add(make_transition())
-    buf.finish_episode()
-    assert buf.full
-    _, _, _, dones, _, _, _ = buf.arrays()
-    assert dones[-1] == 1.0  # external cutoff bounds the recursion
-
-
-def test_buffer_clear_resets_everything():
-    buf = RolloutBuffer()
-    buf.add(make_transition(done=True))
-    buf.clear()
-    assert len(buf) == 0 and not buf.full
-    with pytest.raises(ValueError):
-        buf.arrays()
-
-
-def test_buffer_tracks_episode_starts():
-    buf = RolloutBuffer()
-    for done in (False, True, False, False, True):
-        buf.add(make_transition(done=done))
-    assert buf.episode_starts == [0, 2]
-
-
-# ----------------------------------------------------------------------
 # update behavior
 # ----------------------------------------------------------------------
-
-def test_update_requires_full_buffer():
-    agent = make_agent()
-    with pytest.raises(ValueError, match="complete episode"):
-        agent.update(RolloutBuffer())
-
 
 def test_ratio_is_one_right_after_collection():
     env = stub_env(seed=20)
     agent = make_agent(seed=1)
-    buffer = fill_buffer(env, agent)
-    states, actions, _, _, old_lps, _, _ = buffer.arrays()
+    states, _, actions, _, old_lps, _ = collect(env, agent)
     outs = agent.policy.forward(states)
     for i, _ in enumerate(agent.branches):
         new_lp = gaussian_log_prob(outs[i][0], agent.policy.log_stds[i],
@@ -242,9 +191,9 @@ def test_ratio_is_one_right_after_collection():
 def test_update_with_zero_lr_is_a_no_op():
     env = stub_env(seed=21)
     agent = make_agent(seed=2, cfg=UpdateConfig(lr=0.0, epochs=1))
-    buffer = fill_buffer(env, agent)
+    episode = collect(env, agent)
     before = [p.data.copy() for p in agent.params]
-    agent.update(buffer)
+    agent.update(*episode)
     for p, b in zip(agent.params, before):
         assert np.array_equal(p.data, b)
 
@@ -252,10 +201,11 @@ def test_update_with_zero_lr_is_a_no_op():
 def test_update_clears_buffer_and_reports_stats():
     env = stub_env(seed=22)
     agent = make_agent(seed=3)
-    buffer = fill_buffer(env, agent)
-    n = len(buffer)
-    stats = agent.update(buffer)
-    assert len(buffer) == 0
+    episode = collect(env, agent)
+    n = len(episode[0])
+    held = set(vars(agent))
+    stats = agent.update(*episode)
+    assert set(vars(agent)) == held  # the agent keeps no rollout between updates
     assert stats["samples"] == n
     assert np.isfinite(stats["policy_loss"])
     assert len(stats["ratio_mean"]) == 2
@@ -266,8 +216,7 @@ def test_zero_weight_branch_head_gets_no_surrogate_gradient():
     branches = default_branches()
     branches[0].loss_weight = 0.0
     agent = make_agent(seed=4, branches=branches)
-    buffer = fill_buffer(env, agent)
-    states, actions, _, _, old_lps, _, _ = buffer.arrays()
+    states, _, actions, _, old_lps, _ = collect(env, agent)
 
     # surrogate-only loss, composed exactly as the update does
     outs = agent.policy.forward(states)
@@ -289,9 +238,9 @@ def test_zero_weight_branch_head_gets_no_surrogate_gradient():
 def test_update_moves_parameters():
     env = stub_env(seed=24)
     agent = make_agent(seed=5, cfg=UpdateConfig(epochs=2))
-    buffer = fill_buffer(env, agent)
+    episode = collect(env, agent)
     before = [p.data.copy() for p in agent.params]
-    agent.update(buffer)
+    agent.update(*episode)
     moved = sum(0 if np.array_equal(p.data, b) else 1
                 for p, b in zip(agent.params, before))
     assert moved > len(agent.params) // 2
@@ -337,3 +286,38 @@ def test_evaluate_greedy_reports_sentinel_on_failure():
     agent = make_agent(seed=9)  # untrained: near-zero mean actions
     records = evaluate_greedy(env, agent, episodes=2)
     assert all(r["optimize_step"] == 8 for r in records)
+
+
+def test_train_agent_updates_on_each_collected_episode():
+    env = stub_env(seed=32, max_steps=10)
+    agent = make_agent(seed=10, cfg=UpdateConfig(epochs=1))
+    seen = []
+    update = agent.update
+
+    def recording_update(states, final_state, *rest):
+        seen.append((len(states), final_state.shape))
+        return update(states, final_state, *rest)
+
+    agent.update = recording_update
+    curve = train_agent(env, agent, episodes=3, steps_per_episode=10)
+    assert seen == [(c["optimize_step"], (env.episode.state_dim,)) for c in curve]
+
+
+def test_train_agent_refuses_a_step_count_other_than_max_steps():
+    env = stub_env(seed=33, max_steps=10)
+    with pytest.raises(ValueError, match="max_steps"):
+        train_agent(env, make_agent(seed=11), episodes=1, steps_per_episode=8)
+
+
+def test_evaluate_greedy_runs_no_critic():
+    env = stub_env(seed=34, max_steps=6)
+    agent = make_agent(seed=12)
+
+    def no_critic(states):
+        raise AssertionError("greedy evaluation ran the critic")
+
+    agent.critic.values = no_critic
+    records = evaluate_greedy(env, agent, episodes=2)
+    assert len(records) == 2
+    mean = agent.mean_action(records[0]["states"][0])
+    assert mean.shape == (FilmLineEnv.ACTION_DIM,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filmline.environment import (
-    EpisodeConfig, FilmLineEnv, ObjectiveState, PlantBackend, RewardConfig,
+    EpisodeConfig, FilmLineEnv, ForecastBackend, ObjectiveState, PlantBackend, RewardConfig,
     normalize_weights, oracle_eval, reward_components, total_reward,
 )
 from filmline.plant import PlantParams, thickness_steady_state, width_steady_state
@@ -343,3 +343,20 @@ def test_plant_backend_runs_true_dynamics():
     assert w0 == pytest.approx(width_steady_state(PlantParams(), 470.0, 3.0))
     w1, h1 = backend.step(472.0, 3.0, 3.0)
     assert w1 > w0  # lagged move toward the higher steady state
+
+
+def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
+    width, thickness, scenario = micro_models
+
+    class NanWidth:
+        cfg, norm = width.cfg, width.norm
+
+        def predict(self, window):
+            return np.nan
+
+    backend = ForecastBackend(NanWidth(), thickness)
+    with pytest.raises(ValueError, match=r"width forecaster predicted nan .*knife="):
+        backend.reset(430.0, 2.7, 2.7)
+    with pytest.raises(ValueError, match="width forecaster predicted nan"):
+        FilmLineEnv(backend, EpisodeConfig(width_target=scenario[0],
+                                           thickness_target=scenario[1]), RewardConfig())

@@ -9,7 +9,7 @@ import pytest
 from filmline import cli
 from filmline.harness import (
     ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord, VARIANTS,
-    aggregate_records, emit_outputs, load_config, load_records, mean_step_of,
+    aggregate_records, cell_dir, emit_outputs, load_config, load_records, mean_step_of,
     run_cell, run_grid, scenario_tag, stable_seed, train_or_load_forecasters,
     variant_setup, write_csv,
 )
@@ -321,6 +321,15 @@ def test_failed_cell_records_sentinel_and_grid_continues(tmp_path, tiny_app_conf
     assert len(failed) == 1
     assert failed[0].average_optimize_step == 12.0
     assert "reachable" in failed[0].error
+    # the failed cell reaches disk with its cause, and without a checkpoint
+    stored = [r for r in load_records(str(tmp_path)) if r.failed]
+    assert [(r.scenario, r.error) for r in stored] == [(failed[0].scenario, failed[0].error)]
+    assert not os.path.exists(os.path.join(cell_dir(str(tmp_path), failed[0]),
+                                           "checkpoint.npz"))
+    emit_outputs(load_records(str(tmp_path)), str(tmp_path))
+    with open(tmp_path / "aggregate" / "tableV.csv") as fh:
+        table = [line.strip().split(",") for line in fh][1:]
+    assert sorted(int(row[-1]) for row in table) == [0, 1]  # failed_runs
 
 
 def test_run_grid_row_count(tmp_path, tiny_app_config, micro_models):

@@ -289,3 +289,14 @@ def test_checkpoint_shape_mismatch(tmp_path):
     other = PolicyNetwork(5, two_branches(), np.random.default_rng(9))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path).restore(other.named_tensors(), fp)
+
+
+def test_checkpoint_missing_entry_names_file_and_entry(tmp_path):
+    net = PolicyNetwork(4, two_branches(), np.random.default_rng(9))
+    named = net.named_tensors()
+    missing = next(iter(named))
+    path = tmp_path / "partial.npz"
+    save_checkpoint(path, {k: v for k, v in named.items() if k != missing},
+                    {"fingerprint": "same"})
+    with pytest.raises(ValueError, match=f"partial.npz.*param:{missing}"):
+        load_checkpoint(path).restore(named, "same")
