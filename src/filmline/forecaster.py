@@ -6,6 +6,10 @@ path runs one shared GRU over every p-th pooled step, one subsequence per
 phase offset, and concatenates the final hidden states; with p = 1 it
 degenerates to an ordinary GRU over the pooled sequence.
 
+``lstnet_forward`` builds the autodiff graph that training differentiates;
+``lstnet_predict`` computes the same eval-mode forward in plain numpy, bit for
+bit, and is what inference and validation run.
+
 Also provides the training loop (Adam on MAE), evaluation metrics and an
 ordinary-least-squares baseline on the last-step feature vector.
 """
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d,
-    no_grad, relu, slice_rows, take_time,
+    Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d, relu, slice_rows,
+    take_time,
 )
 from . import autodiff as ad
 from .cells import GruParams, LstmParams, gru_cell, lstm_cell
@@ -212,6 +216,73 @@ def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
     return params.out(fused)
 
 
+def lstnet_predict(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndarray
+                   ) -> np.ndarray:
+    """Eval-mode ``lstnet_forward`` of a [B, T, F] window batch in plain numpy:
+    [B, 1] normalized predictions.
+
+    No Tensor is built and nothing is recorded. Every product and sum is the
+    one ``lstnet_forward`` computes, in the same order, so the results are
+    bit-identical. The per-gate weights are stacked at call time, LSTM into
+    [in, 4H] / [H, 4H] and GRU into [in, 3H] / [H, 2H] with the reset-gated
+    ``w_hn`` kept apart, and each step's gates take one sigmoid.
+    """
+    b_n, t_n, _ = windows.shape
+    if t_n != cfg.window:
+        raise ValueError(f"forecaster: window length {t_n} != configured {cfg.window}")
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    # conv (im2col, as autodiff.conv1d) -> relu -> max-pool -> layer norm
+    k, c_in, c_out = params.conv_k.shape
+    t_conv = t_n - k + 1
+    win = np.lib.stride_tricks.sliding_window_view(windows, k, axis=1).transpose(0, 1, 3, 2)
+    cols = np.ascontiguousarray(win).reshape(b_n * t_conv, k * c_in)
+    conv = (cols @ params.conv_k.data.reshape(k * c_in, c_out)).reshape(b_n, t_conv, c_out)
+    conv = np.maximum(conv + params.conv_b.data, 0.0)
+    length, pool = cfg.pooled_length, cfg.pool_window
+    blocks = conv[:, :length * pool, :].reshape(b_n, length, pool, c_out)
+    arg = np.argmax(blocks, axis=2)
+    pooled = np.take_along_axis(blocks, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    mu = pooled.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(pooled.var(axis=-1, keepdims=True) + 1e-5)
+    normed = (pooled - mu) * inv * params.ln_gain.data + params.ln_bias.data
+
+    lp, hid = params.lstm, cfg.lstm_hidden
+    wx = np.concatenate([lp.w_xi.data, lp.w_xf.data, lp.w_xg.data, lp.w_xo.data], axis=1)
+    wh = np.concatenate([lp.w_hi.data, lp.w_hf.data, lp.w_hg.data, lp.w_ho.data], axis=1)
+    b = np.concatenate([lp.b_i.data, lp.b_f.data, lp.b_g.data, lp.b_o.data])
+    h = np.zeros((b_n, hid))
+    c = np.zeros((b_n, hid))
+    for t in range(length):
+        pre = normed[:, t, :] @ wx + h @ wh + b
+        gates = sigmoid(pre)
+        g = np.tanh(pre[:, 2 * hid:3 * hid])
+        c = gates[:, hid:2 * hid] * c + gates[:, :hid] * g
+        h = gates[:, 3 * hid:] * np.tanh(c)
+
+    gp, sh, p = params.gru, cfg.skip_hidden, cfg.skip_period
+    wx = np.concatenate([gp.w_xz.data, gp.w_xr.data, gp.w_xn.data], axis=1)
+    wh = np.concatenate([gp.w_hz.data, gp.w_hr.data], axis=1)
+    b = np.concatenate([gp.b_z.data, gp.b_r.data])
+    n_steps = length // p
+    start = length - n_steps * p
+    hs = np.zeros((b_n * p, sh))
+    for t in range(n_steps):
+        # phase-major rows, as in lstnet_forward
+        step = np.concatenate([normed[:, start + j + t * p, :] for j in range(p)], axis=0)
+        pre_x = step @ wx
+        zr = sigmoid(pre_x[:, :2 * sh] + hs @ wh + b)
+        z, r = zr[:, :sh], zr[:, sh:]
+        n = np.tanh(pre_x[:, 2 * sh:] + (r * hs) @ gp.w_hn.data + gp.b_n.data)
+        hs = z * hs + (1.0 - z) * n
+
+    merged = np.concatenate([h] + [hs[j * b_n:(j + 1) * b_n] for j in range(p)], axis=1)
+    fused = np.tanh(merged @ params.fusion.w.data + params.fusion.b.data)
+    return fused @ params.out.w.data + params.out.b.data
+
+
 class LstnetModel:
     """Trained forecaster bundle: config, parameters and normalization."""
 
@@ -227,10 +298,9 @@ class LstnetModel:
         if squeeze:
             raw_windows = raw_windows[None]
         z = (raw_windows - self.norm.mean) / self.norm.std
-        with no_grad():
-            out = lstnet_forward(self.cfg, self.params, z, training=False)
+        out = lstnet_predict(self.cfg, self.params, z)
         anchor = raw_windows[:, -1, self.norm.target_col]
-        pred = self.norm.denormalize_target(out.data[:, 0], anchor)
+        pred = self.norm.denormalize_target(out[:, 0], anchor)
         return float(pred[0]) if squeeze else pred
 
     def fingerprint(self) -> str:
@@ -336,12 +406,11 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
 
     def epoch_mae(starts: np.ndarray) -> float:
         preds = []
-        with no_grad():
-            for lo in range(0, len(starts), cfg.batch_size):
-                idx = starts[lo:lo + cfg.batch_size]
-                out = lstnet_forward(cfg, params, window_batch(z, idx, cfg.window))
-                anchor = raw[idx + cfg.window - 1, tcol]
-                preds.append(norm.denormalize_target(out.data[:, 0], anchor))
+        for lo in range(0, len(starts), cfg.batch_size):
+            idx = starts[lo:lo + cfg.batch_size]
+            out = lstnet_predict(cfg, params, window_batch(z, idx, cfg.window))
+            anchor = raw[idx + cfg.window - 1, tcol]
+            preds.append(norm.denormalize_target(out[:, 0], anchor))
         true_mm = raw[starts + cfg.window, tcol]
         return float(np.mean(np.abs(np.concatenate(preds) - true_mm)))
 

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import time
+import traceback
 import zlib
 from configparser import ConfigParser
 from dataclasses import dataclass, field, replace
@@ -310,6 +311,7 @@ class RunRecord:
     wall_time: float
     failed: bool = False
     error: str = ""
+    traceback: str = ""
 
 
 def scenario_tag(scenario) -> str:
@@ -317,11 +319,13 @@ def scenario_tag(scenario) -> str:
 
 
 def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: int,
-             out_dir: str | None = None) -> RunRecord:
+             out_dir: str | None = None, backend: ForecastBackend | None = None) -> RunRecord:
     """Train and evaluate one grid cell; crashes become failed records.
 
     With ``out_dir`` the record is persisted either way; a failed one has no
-    checkpoint.
+    checkpoint. ``backend`` is a ``ForecastBackend`` over ``models`` shared
+    with other cells, so that its settle memo answers their repeated
+    calibration probes; without one the cell builds its own.
     """
     started = time.perf_counter()
     scenario = tuple(float(v) for v in scenario)
@@ -329,7 +333,7 @@ def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: i
         branches, shared, reward_cfg = variant_setup(variant, cfg.agent, cfg.reward)
         episode_cfg = replace(cfg.env, width_target=scenario[0],
                               thickness_target=scenario[1], max_steps=steps)
-        env = FilmLineEnv(ForecastBackend(*models), episode_cfg, reward_cfg,
+        env = FilmLineEnv(backend or ForecastBackend(*models), episode_cfg, reward_cfg,
                           seed=stable_seed("env", variant, scenario, steps, seed))
         agent = MultiPathPpoAgent(episode_cfg.state_dim, branches, cfg.agent.update,
                                   seed=stable_seed("agent", variant, scenario, steps, seed),
@@ -350,6 +354,7 @@ def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: i
             average_optimize_step=float(steps), eval_steps=[], curve=[],
             first_eval_trace=[], wall_time=time.perf_counter() - started,
             failed=True, error=f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
         )
         agent = None
     if out_dir is not None:
@@ -392,7 +397,7 @@ def persist_record(out_dir: str, record: RunRecord, agent: MultiPathPpoAgent | N
         "steps_per_episode": record.steps_per_episode, "seed": record.seed,
         "average_optimize_step": record.average_optimize_step,
         "eval_steps": record.eval_steps, "wall_time": record.wall_time,
-        "failed": record.failed, "error": record.error,
+        "failed": record.failed, "error": record.error, "traceback": record.traceback,
     }
     with open(os.path.join(d, "record.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -426,7 +431,7 @@ def load_records(out_dir: str) -> list[RunRecord]:
             average_optimize_step=meta["average_optimize_step"],
             eval_steps=meta["eval_steps"], curve=[], first_eval_trace=trace,
             wall_time=meta["wall_time"], failed=meta["failed"],
-            error=meta.get("error", ""),
+            error=meta.get("error", ""), traceback=meta.get("traceback", ""),
         ))
     return records
 
@@ -444,13 +449,14 @@ def run_grid(cfg: AppConfig, out_dir: str, models=None, variants=None, scenarios
     scenarios = scenarios or plan.scenarios
     steps_options = steps_options or plan.steps_options
     seeds = seeds if seeds is not None else list(range(plan.seeds))
+    backend = ForecastBackend(*models)  # one settle memo for every cell of the grid
     records = []
     for variant in variants:
         for scenario in scenarios:
             for steps in steps_options:
                 for seed in seeds:
                     rec = run_cell(cfg, models, variant, scenario, int(steps), seed,
-                                   out_dir=out_dir)
+                                   out_dir=out_dir, backend=backend)
                     records.append(rec)
                     if verbose:
                         status = "FAILED " + rec.error if rec.failed else \

@@ -141,9 +141,6 @@ class PolicyNetwork:
             params.append(log_std)
         return params
 
-    def head_tensors(self, i: int) -> list[Tensor]:
-        return self.heads[i].tensors() + [self.log_stds[i]]
-
     def named_tensors(self) -> dict[str, Tensor]:
         named = {}
         for i, layer in enumerate(self.trunk.layers):
@@ -190,9 +187,6 @@ class CriticNetwork:
         for head in self.heads:
             params += head.tensors()
         return params
-
-    def head_tensors(self, i: int) -> list[Tensor]:
-        return self.heads[i].tensors()
 
     def named_tensors(self) -> dict[str, Tensor]:
         named = {}

@@ -229,8 +229,14 @@ def test_zero_weight_branch_head_gets_no_surrogate_gradient():
                                                  b.clip_epsilon)) * b.loss_weight
         loss = term if loss is None else loss + term
     backward(loss)
-    width_head = agent.policy.head_tensors(0)
-    thickness_head = agent.policy.head_tensors(1)
+    named = agent.policy.named_tensors()
+
+    def head(branch):
+        return [t for name, t in named.items()
+                if name.startswith(f"head.{branch}.") or name == f"log_std.{branch}"]
+
+    width_head, thickness_head = head("width"), head("thickness")
+    assert len(width_head) == len(thickness_head) == 5  # two layers' w and b, and log_std
     assert all(t.grad is None or np.all(t.grad == 0.0) for t in width_head)
     assert any(t.grad is not None and np.any(t.grad != 0.0) for t in thickness_head)
 

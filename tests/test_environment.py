@@ -21,6 +21,9 @@ class LinearBackend:
     def reset(self, knife, ds, os_):
         return self.step(knife, ds, os_)
 
+    def settle(self, knife, ds, os_):
+        return self.step(knife, ds, os_)
+
     def step(self, knife, ds, os_):
         return (width_steady_state(self.params, knife, 0.5 * (ds + os_)),
                 thickness_steady_state(self.params, ds, os_))
@@ -343,6 +346,7 @@ def test_plant_backend_runs_true_dynamics():
     assert w0 == pytest.approx(width_steady_state(PlantParams(), 470.0, 3.0))
     w1, h1 = backend.step(472.0, 3.0, 3.0)
     assert w1 > w0  # lagged move toward the higher steady state
+    assert backend.settle(470.0, 3.0, 3.0) == (w0, h0)
 
 
 def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):

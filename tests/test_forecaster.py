@@ -9,10 +9,10 @@ from filmline.cells import gru_cell
 from filmline.forecaster import (
     ForecasterConfig, LstnetModel, LstnetParams, Normalizer, SeriesDataset,
     chrono_split, evaluate_forecaster, linreg_baseline, load_series, lstnet_forward,
-    metrics_from_errors, save_series, train_forecaster, window_batch,
+    lstnet_predict, metrics_from_errors, save_series, train_forecaster, window_batch,
 )
 
-from conftest import TINY_FORECASTER, finite_diff_check, make_toy_series
+from conftest import MICRO_FORECASTER, TINY_FORECASTER, finite_diff_check, make_toy_series
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +118,45 @@ def test_eval_mode_is_bit_deterministic():
         a = lstnet_forward(cfg, params, window, training=False).data
         b = lstnet_forward(cfg, params, window, training=False).data
     assert np.array_equal(a, b)
+
+
+# the default config pools to 13 steps with skip period 4, so its skip path
+# starts at pooled step 1; period 1 makes the skip path one plain GRU
+@pytest.mark.parametrize("cfg", [MICRO_FORECASTER, ForecasterConfig(),
+                                 ForecasterConfig(skip_period=1)],
+                         ids=["micro", "default", "skip-period-1"])
+@pytest.mark.parametrize("batch", [1, 37])
+def test_lstnet_predict_is_bit_identical_to_the_graph_forward(cfg, batch):
+    rng = np.random.default_rng(batch)
+    params = LstnetParams.init(cfg, 5, rng)
+    for t in params.tensors():  # move the zero biases and unit gains off their init
+        t.data = t.data + 0.1 * rng.standard_normal(t.shape)
+    windows = rng.standard_normal((batch, cfg.window, 5))
+    with no_grad():
+        reference = lstnet_forward(cfg, params, windows).data
+    out = lstnet_predict(cfg, params, windows)
+    assert out.shape == (batch, 1)
+    assert np.array_equal(out, reference)
+
+
+def test_predict_builds_no_tensor(monkeypatch):
+    cfg = TINY_FORECASTER
+    ds = make_toy_series(n_rows=200, seed=9)
+    norm = Normalizer.fit(ds.values[chrono_split(200)[0]], ds.feature_names, "target")
+    model = LstnetModel(cfg, LstnetParams.init(cfg, 4, np.random.default_rng(9)), norm)
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    model.predict(ds.values[:cfg.window])
+    model.predict(window_batch(ds.values, np.arange(5), cfg.window))
+    assert built == []
+    Tensor(np.zeros(1))  # the counter does count
+    assert built == [1]
 
 
 def test_forward_rejects_wrong_window_length():

@@ -1,12 +1,15 @@
 """Configuration loading, variants, grid cells and output emission."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from filmline import cli
+from filmline.environment import FilmLineEnv, ForecastBackend
 from filmline.harness import (
     ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord, VARIANTS,
     aggregate_records, cell_dir, emit_outputs, load_config, load_records, mean_step_of,
@@ -276,6 +279,15 @@ def test_cli_evaluates_a_run_cell_checkpoint_on_the_true_plant(tmp_path, tiny_ap
     assert out.count("  episode ") == 2
 
 
+def test_python_dash_m_filmline_runs_the_cli_from_a_checkout():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "filmline", "--help"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "run-grid" in done.stdout
+
+
 @pytest.mark.parametrize("change", [dict(window=16, lstm_hidden=8), dict(epochs=26)])
 def test_stored_forecasters_load_only_under_their_config(tmp_path, micro_models, change):
     width, thickness, _ = micro_models
@@ -324,12 +336,49 @@ def test_failed_cell_records_sentinel_and_grid_continues(tmp_path, tiny_app_conf
     # the failed cell reaches disk with its cause, and without a checkpoint
     stored = [r for r in load_records(str(tmp_path)) if r.failed]
     assert [(r.scenario, r.error) for r in stored] == [(failed[0].scenario, failed[0].error)]
+    assert "_check_targets" in stored[0].traceback
     assert not os.path.exists(os.path.join(cell_dir(str(tmp_path), failed[0]),
                                            "checkpoint.npz"))
     emit_outputs(load_records(str(tmp_path)), str(tmp_path))
     with open(tmp_path / "aggregate" / "tableV.csv") as fh:
         table = [line.strip().split(",") for line in fh][1:]
     assert sorted(int(row[-1]) for row in table) == [0, 1]  # failed_runs
+
+
+def test_run_grid_shares_one_settle_memo_and_keeps_curve_bytes(tmp_path, tiny_app_config,
+                                                               micro_models, monkeypatch):
+    width, thickness, scenario = micro_models
+    events = []
+    env_init, backend_reset = FilmLineEnv.__init__, ForecastBackend.reset
+
+    def init(self, *args, **kwargs):
+        events.append("construct")
+        env_init(self, *args, **kwargs)
+        events.append("built")
+
+    def reset(self, *args, **kwargs):
+        events.append("reset")
+        return backend_reset(self, *args, **kwargs)
+
+    monkeypatch.setattr(FilmLineEnv, "__init__", init)
+    monkeypatch.setattr(ForecastBackend, "reset", reset)
+    records = run_grid(tiny_app_config, str(tmp_path / "grid"), models=(width, thickness),
+                       variants=["mpd-ppo"], scenarios=[list(scenario)], steps_options=[12],
+                       seeds=[0, 1], verbose=False)
+    monkeypatch.undo()
+    assert not any(r.failed for r in records)
+    first = events.index("construct")
+    second = events.index("construct", first + 1)
+    assert "reset" in events[first:events.index("built")]  # the first cell probes
+    assert events[second:second + 2] == ["construct", "built"]  # the second reuses them
+
+    tag = scenario_tag(scenario)
+    for seed in (0, 1):
+        run_cell(tiny_app_config, (width, thickness), "mpd-ppo", scenario, 12, seed,
+                 out_dir=str(tmp_path / "alone"))
+        curves = [(tmp_path / d / "runs" / "mpd-ppo" / tag / "12step" / f"seed{seed}"
+                   / "curve.csv").read_bytes() for d in ("grid", "alone")]
+        assert curves[0] == curves[1]
 
 
 def test_run_grid_row_count(tmp_path, tiny_app_config, micro_models):
