@@ -75,12 +75,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -351,20 +345,14 @@ def scale_cols(x: Tensor, v: Tensor) -> Tensor:
 
 
 def take_time(x: Tensor, t: int) -> Tensor:
-    """Select time step t from a [time, ch] or [batch, time, ch] tensor."""
-    if x.ndim == 2:
-        out = x.data[t]
-    elif x.ndim == 3:
-        out = x.data[:, t, :]
-    else:
-        raise ValueError(f"take_time: expects rank 2 or 3, got {x.shape}")
+    """Select time step t from a [batch, time, ch] tensor."""
+    if x.ndim != 3:
+        raise ValueError(f"take_time: expects rank 3, got {x.shape}")
+    out = x.data[:, t, :]
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        if x.ndim == 2:
-            gx[t] = g
-        else:
-            gx[:, t, :] = g
+        gx[:, t, :] = g
         return (gx,)
 
     return _make(out, "take_time", (x,), bw)
@@ -405,48 +393,38 @@ def concat(parts, axis: int = 0) -> Tensor:
 # sequence primitives
 # ----------------------------------------------------------------------
 
-def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Valid (no padding) 1-d convolution over the time axis.
 
-    x is [time, in_ch] or [batch, time, in_ch]; kernels is [k, in_ch, out_ch].
-    Output time length is floor((T - k) / stride) + 1.
+    x is [batch, time, in_ch]; kernels is [k, in_ch, out_ch]. Output time
+    length is T - k + 1.
     """
-    if stride < 1:
-        raise ValueError(f"conv1d: stride must be >= 1, got {stride}")
     if kernels.ndim != 3:
         raise ValueError(f"conv1d: kernels must be [k, in_ch, out_ch], got {kernels.shape}")
-    batched = x.ndim == 3
-    if not batched and x.ndim != 2:
-        raise ValueError(f"conv1d: input must be rank 2 or 3, got {x.shape}")
-    xd = x.data if batched else x.data[None]
-    b_n, t_n, c_in = xd.shape
+    if x.ndim != 3:
+        raise ValueError(f"conv1d: input must be rank 3, got {x.shape}")
+    b_n, t_n, c_in = x.shape
     k, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ValueError(f"conv1d: kernel channels {kc_in} != input channels {c_in}")
     if k > t_n:
         raise ValueError(f"conv1d: kernel length {k} exceeds input length {t_n}")
-    t_out = (t_n - k) // stride + 1
+    t_out = t_n - k + 1
 
     # im2col: windows [b, t_out, k, c_in] -> one matmul against [k*c_in, c_out]
-    win = np.lib.stride_tricks.sliding_window_view(xd, k, axis=1)  # [b, t-k+1, c, k]
-    win = win[:, ::stride].transpose(0, 1, 3, 2)                   # [b, t_out, k, c]
-    cols = np.ascontiguousarray(win).reshape(b_n * t_out, k * c_in)
+    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)  # [b, t_out, c, k]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(b_n * t_out, k * c_in)
     kflat = kernels.data.reshape(k * c_in, c_out)
     out = (cols @ kflat).reshape(b_n, t_out, c_out)
-    if not batched:
-        out = out[0]
 
     def bw(g):
-        gd = g if batched else g[None]
-        gflat = gd.reshape(b_n * t_out, c_out)
+        gflat = g.reshape(b_n * t_out, c_out)
         gk = (cols.T @ gflat).reshape(k, c_in, c_out)
         gcols = (gflat @ kflat.T).reshape(b_n, t_out, k, c_in)
-        gx = np.zeros_like(xd)
-        starts = np.arange(t_out) * stride
+        gx = np.zeros_like(x.data)
         for j in range(k):
-            # within a fixed kernel offset the target rows are distinct
-            gx[:, starts + j, :] += gcols[:, :, j, :]
-        return (gx if batched else gx[0]), gk
+            gx[:, j:j + t_out, :] += gcols[:, :, j, :]
+        return gx, gk
 
     return _make(out, "conv1d", (x, kernels), bw)
 
@@ -458,27 +436,22 @@ def max_pool1d(x: Tensor, window: int) -> Tensor:
     """
     if window < 1:
         raise ValueError(f"max_pool1d: window must be >= 1, got {window}")
-    batched = x.ndim == 3
-    if not batched and x.ndim != 2:
-        raise ValueError(f"max_pool1d: input must be rank 2 or 3, got {x.shape}")
-    xd = x.data if batched else x.data[None]
-    b_n, t_n, c_n = xd.shape
+    if x.ndim != 3:
+        raise ValueError(f"max_pool1d: input must be rank 3, got {x.shape}")
+    b_n, t_n, c_n = x.shape
     t_out = t_n // window
     if t_out == 0:
         raise ValueError(f"max_pool1d: window {window} longer than input {t_n}")
-    blocks = xd[:, : t_out * window, :].reshape(b_n, t_out, window, c_n)
+    blocks = x.data[:, : t_out * window, :].reshape(b_n, t_out, window, c_n)
     arg = np.argmax(blocks, axis=2)  # first occurrence on ties
     out = np.take_along_axis(blocks, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    if not batched:
-        out = out[0]
 
     def bw(g):
-        gd = g if batched else g[None]
         gblocks = np.zeros_like(blocks)
-        np.put_along_axis(gblocks, arg[:, :, None, :], gd[:, :, None, :], axis=2)
-        gx = np.zeros_like(xd)
+        np.put_along_axis(gblocks, arg[:, :, None, :], g[:, :, None, :], axis=2)
+        gx = np.zeros_like(x.data)
         gx[:, : t_out * window, :] = gblocks.reshape(b_n, t_out * window, c_n)
-        return (gx if batched else gx[0],)
+        return (gx,)
 
     return _make(out, "max_pool1d", (x,), bw)
 

@@ -4,7 +4,7 @@ Verbs:
   train-forecaster  generate (or load) a dataset, train both quality models
   train-agent       one (variant, scenario, steps, seed) training cell
   run-grid          the full scenario grid from the experiment plan
-  run-ablations     variant comparison on the representative scenario
+  run-ablations     every variant on the representative scenario
   evaluate          greedy evaluation of a stored checkpoint (surrogate or plant)
   emit-plots        rebuild aggregate tables and plots from persisted records
 """
@@ -152,7 +152,7 @@ def main(argv=None):
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--oracle", action="store_true",
-                   help="evaluate against the true plant instead of the surrogate")
+                   help="evaluate against the noise-free true plant instead of the surrogate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("emit-plots", help="rebuild tables and plots from stored runs")

@@ -7,7 +7,7 @@ fed with a synthesized history window (the training surrogate) or the true
 plant (the held-out oracle). The composite reward combines an exponential
 error term, a tanh progress term, a quadratic action penalty and a gated
 steady-state bonus, aggregated over the two quality objectives with
-adjustable weights and clipped to a fixed range.
+configured weights and clipped to a fixed range.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ class RewardConfig:
     progress_coef: float = 0.3
     action_penalty_coef: float = 0.05
     steady_coef: float = 0.5
-    steady_threshold: float = 1.0    # in normalized-error units
-    gate_steady: bool = True         # apply the steady bonus only below threshold
+    steady_threshold: float = 1.0    # in normalized-error units; no bonus at or above
     weights: tuple = (0.5, 0.5)      # per-objective aggregation, normalized to sum 1
     total_clip: tuple = (-5.0, 5.0)
     # component switches for reward ablations
@@ -112,13 +111,13 @@ def reward_components(obj: ObjectiveState, cfg: RewardConfig) -> tuple:
 
     The action penalty is measured in unitless scaled-action increments so
     the coarse and fine actuators are penalized on the same footing. The
-    steady bonus applies only inside the threshold unless gating is off.
+    steady bonus applies only inside the threshold.
     """
     r_error = cfg.error_coef * np.exp(-obj.error)
     r_progress = cfg.progress_coef * np.tanh(obj.best_error - obj.error)
     delta = (obj.setpoints - obj.prev_setpoints) / obj.action_scales
     p_action = -cfg.action_penalty_coef * float(np.sum(delta * delta))
-    if cfg.gate_steady and obj.error >= cfg.steady_threshold:
+    if obj.error >= cfg.steady_threshold:
         r_steady = 0.0
     else:
         r_steady = cfg.steady_coef * (cfg.steady_threshold - obj.error)
@@ -239,11 +238,11 @@ class ForecastBackend:
 
 
 class PlantBackend:
-    """True-plant oracle; zero-noise by default so evaluations are exact."""
+    """True-plant oracle with every noise source off, so evaluations are exact."""
 
-    def __init__(self, params: PlantParams, noisy: bool = False, seed: int = 0):
-        self.params = params if noisy else params.quiet()
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, params: PlantParams):
+        self.params = params.quiet()
+        self._rng = np.random.default_rng(0)  # the quiet plant draws nothing from it
         self._state: PlantState | None = None
 
     def reset(self, knife: float, ds: float, os_: float):
@@ -343,19 +342,8 @@ class FilmLineEnv:
                 f"thickness target {ep.thickness_target} outside reachable range "
                 f"[{h_lo:.2f}, {h_hi:.2f}]")
 
-    # -- weights --------------------------------------------------------
-    def set_objective_weights(self, weights):
-        """Replace the per-objective aggregation weights (normalized to sum 1)."""
-        self.reward_cfg = replace(self.reward_cfg, weights=normalize_weights(weights))
-
-    @property
-    def objective_weights(self) -> tuple:
-        return self.reward_cfg.weights
-
     # -- episode API ------------------------------------------------------
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def reset(self) -> np.ndarray:
         ep = self.episode
         for _ in range(50):
             knife, ds, os_, width_near, thickness_near = self._sample_initial_setpoints()
@@ -409,9 +397,12 @@ class FilmLineEnv:
         """Apply a 3-dim action in [-1, 1]; returns (state, reward, done, info)."""
         if not self._objectives:
             raise RuntimeError("step() before reset()")
-        action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+        action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.ACTION_DIM,):
             raise ValueError(f"action must have shape ({self.ACTION_DIM},), got {action.shape}")
+        if not np.all(np.isfinite(action)):
+            raise ValueError(f"non-finite action {action}")
+        action = np.clip(action, -1.0, 1.0)
         ep = self.episode
 
         old = self._setpoints.copy()
@@ -508,14 +499,13 @@ def _affine_inverse(x_lo, x_hi, y_lo, y_hi):
 # ----------------------------------------------------------------------
 
 def oracle_eval(policy, plant_params: PlantParams, episode: EpisodeConfig,
-                reward: RewardConfig, seed: int = 0, episodes: int = 1,
-                noisy: bool = False):
-    """Run a policy against the true plant instead of the forecaster.
+                reward: RewardConfig, seed: int = 0, episodes: int = 1):
+    """Run a policy against the noise-free true plant instead of the forecaster.
 
     ``policy`` maps a state vector to a 3-dim action. Returns a list of
     per-episode records with the same metrics as surrogate episodes.
     """
-    backend = PlantBackend(plant_params, noisy=noisy, seed=seed)
+    backend = PlantBackend(plant_params)
     return run_episodes(FilmLineEnv(backend, episode, reward, seed=seed), policy, episodes)
 
 

@@ -44,7 +44,6 @@ class ForecasterConfig:
     lr: float = 1e-3
     batch_size: int = 1024
     epochs: int = 100
-    patience: int = 0  # epochs without val improvement before stopping; 0 = run all
 
     def __post_init__(self):
         if self.window < self.conv_kernel:
@@ -179,10 +178,8 @@ class LstnetParams:
 
 def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndarray,
                    training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Normalized next-step prediction for a [B, T, F] (or [T, F]) window batch."""
+    """Normalized next-step prediction for a [B, T, F] window batch."""
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim == 2:
-        windows = windows[None]
     b_n, t_n, _ = windows.shape
     if t_n != cfg.window:
         raise ValueError(f"forecaster: window length {t_n} != configured {cfg.window}")
@@ -417,7 +414,6 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
     trace = []
     best_val = np.inf
     best_snap = params.snapshot()
-    stale = 0
     train_starts = splits["train"].copy()
     for epoch in range(cfg.epochs):
         rng.shuffle(train_starts)
@@ -442,11 +438,6 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
         if val_mae < best_val:
             best_val = val_mae
             best_snap = params.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience > 0 and stale >= cfg.patience:
-                break
     params.restore(best_snap)
     return LstnetModel(cfg, params, norm), trace
 
@@ -473,52 +464,28 @@ def evaluate_forecaster(model: LstnetModel, dataset: SeriesDataset,
 # linear-regression baseline
 # ----------------------------------------------------------------------
 
-@dataclass
-class LinregModel:
-    coefficients: np.ndarray  # [F + 1], last entry is the intercept
-    norm: Normalizer
-    window: int
-    flavor: str
-
-    def predict(self, raw_windows: np.ndarray) -> np.ndarray:
-        raw_windows = np.asarray(raw_windows, dtype=np.float64)
-        if raw_windows.ndim == 2:
-            raw_windows = raw_windows[None]
-        z = (raw_windows - self.norm.mean) / self.norm.std
-        feats = z[:, -1, :] if self.flavor == "last-step" else z.mean(axis=1)
-        x = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
-        return x @ self.coefficients
-
-
 def linreg_baseline(dataset: SeriesDataset, target_name: str, window: int = 32,
-                    tolerance: float = 1.0, flavor: str = "last-step",
-                    ridge: float = 1e-6):
-    """Least squares on per-window features; returns (model, test metrics).
+                    tolerance: float = 1.0, ridge: float = 1e-6):
+    """Least squares on the last-step features of each window; returns
+    (coefficients, test metrics), the intercept last among the coefficients.
 
     Regresses the raw next-step target (mm) on z-scored features plus an
     intercept, so the reading column provides its own anchor.
     """
-    if flavor not in ("last-step", "window-mean"):
-        raise ValueError(f"unknown linreg flavor {flavor!r}")
     norm, z, splits = _split_windows(dataset, target_name, window)
     tcol = norm.target_col
 
     def features(starts):
-        if flavor == "last-step":
-            feats = z[starts + window - 1]
-        else:
-            feats = window_batch(z, starts, window).mean(axis=1)
-        return np.concatenate([feats, np.ones((len(starts), 1))], axis=1)
+        return np.concatenate([z[starts + window - 1], np.ones((len(starts), 1))], axis=1)
 
     x = features(splits["train"])
     y = dataset.values[splits["train"] + window, tcol]
     gram = x.T @ x + ridge * np.eye(x.shape[1])
     coef = np.linalg.solve(gram, x.T @ y)
-    model = LinregModel(coef, norm, window, flavor)
 
     test = splits["test"]
     if len(test) == 0:
         raise ValueError("empty test split")
     pred = features(test) @ coef
     true = dataset.values[test + window, tcol]
-    return model, metrics_from_errors(pred - true, tolerance)
+    return coef, metrics_from_errors(pred - true, tolerance)

@@ -66,7 +66,6 @@ class ExperimentPlan:
     eval_episodes: int = 10
     variants: list = field(default_factory=lambda: ["mpd-ppo"])
     dataset_steps: int = 50000
-    dataset_excitation: str = "mixed"
     dataset_seed: int = 0
     forecaster_seed: int = 0
 
@@ -115,8 +114,6 @@ def _coerce(section: str, key: str, text: str, example):
             elem = example[0] if len(example) else 0.0
             if isinstance(elem, (list, tuple)) or "/" in text:
                 return [parse_scenario(p) for p in items]
-            if isinstance(elem, bool):
-                return [_coerce(section, key, p, True) for p in items]
             if isinstance(elem, int):
                 vals = [int(p) for p in items]
             elif isinstance(elem, float):
@@ -252,7 +249,7 @@ def stable_seed(*parts) -> int:
 
 def build_dataset(cfg: AppConfig) -> SeriesDataset:
     plan = cfg.experiment
-    return generate_dataset(cfg.plant, plan.dataset_steps, plan.dataset_excitation,
+    return generate_dataset(cfg.plant, plan.dataset_steps, "mixed",
                             seed=plan.dataset_seed, window=cfg.forecaster.window)
 
 
@@ -466,17 +463,10 @@ def run_grid(cfg: AppConfig, out_dir: str, models=None, variants=None, scenarios
     return records
 
 
-ABLATION_VARIANTS = ("mpd-ppo", "ppo-multibranch-uniform-clip", "ppo-single-net",
-                     "mpd-ppo-uniform-clip", "reward-1", "reward-2", "reward-3",
-                     "reward-4")
-
-
-def run_ablations(cfg: AppConfig, out_dir: str, models=None, steps: int = 100,
-                  seeds=None, variants=ABLATION_VARIANTS, verbose: bool = True):
-    """All ablation variants on the representative 480 mm / 3.0 mm scenario."""
-    return run_grid(cfg, out_dir, models=models, variants=list(variants),
-                    scenarios=[list(ABLATION_SCENARIO)], steps_options=[steps],
-                    seeds=seeds, verbose=verbose)
+def run_ablations(cfg: AppConfig, out_dir: str, models=None):
+    """Every variant at 100 steps on the representative 480 mm / 3.0 mm scenario."""
+    return run_grid(cfg, out_dir, models=models, variants=list(VARIANTS),
+                    scenarios=[list(ABLATION_SCENARIO)], steps_options=[100])
 
 
 def aggregate_records(records: list[RunRecord]):

@@ -204,11 +204,10 @@ class CriticNetwork:
 # ----------------------------------------------------------------------
 
 def sample_action(branch_outputs, rng: np.random.Generator) -> np.ndarray:
-    """Draw one concatenated action vector from per-branch (mean, std) pairs."""
+    """Draw one concatenated action vector from per-branch ([1, d] mean, std) pairs."""
     parts = []
     for mean, std in branch_outputs:
-        mu = mean.data[0] if mean.data.ndim == 2 else mean.data
-        parts.append(mu + std.data * rng.standard_normal(std.data.shape[0]))
+        parts.append(mean.data[0] + std.data * rng.standard_normal(std.data.shape[0]))
     return np.concatenate(parts)
 
 

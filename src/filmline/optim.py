@@ -45,10 +45,6 @@ class Adam:
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
             p.grad = None
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 def global_grad_norm(params: list[Tensor]) -> float:
     total = 0.0

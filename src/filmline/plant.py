@@ -168,14 +168,15 @@ def plant_step(state: PlantState, params: PlantParams, rng: np.random.Generator)
     )
 
 
-EXCITATION_POLICIES = ("none", "random-walk", "steps", "mixed")
+EXCITATION_POLICIES = ("none", "mixed")
 
 
 def generate_dataset(params: PlantParams, n_steps: int, excitation: str = "mixed",
                      seed: int = 0, window: int = 32) -> SeriesDataset:
     """Roll the plant under an excitation policy and record the gauge readings.
 
-    Rows are chronological: [controls, width, thickness, roll_angle, aux...].
+    ``"mixed"`` drives the set-points through holds, ramps and walks;
+    ``"none"`` keeps them at mid-range. Rows are chronological: [controls, width, thickness, roll_angle, aux...].
     Recorded width/thickness include the gauge drift and the roll-periodic
     fluctuation; the roll encoder angle (the fluctuation's phase, wrapped to
     [0, 2pi)) is logged alongside, and held at its midpoint when the periodic
@@ -210,11 +211,7 @@ def generate_dataset(params: PlantParams, n_steps: int, excitation: str = "mixed
     asym = 0.0
     rows = np.empty((n_steps, 6 + len(params.aux)))
     for t in range(n_steps):
-        if excitation == "random-walk":
-            knife = float(np.clip(knife + 0.6 * rng.standard_normal(), k_lo, k_hi))
-            ds = float(np.clip(ds + 0.015 * rng.standard_normal(), g_lo, g_hi))
-            os_ = float(np.clip(os_ + 0.015 * rng.standard_normal(), g_lo, g_hi))
-        elif excitation in ("steps", "mixed"):
+        if excitation == "mixed":
             # block-structured drive: holds expose the static response, ramps the
             # incremental one (matching controller-scale moves), walks the rest;
             # rare full-range re-draws keep the whole actuator span covered
@@ -234,14 +231,8 @@ def generate_dataset(params: PlantParams, n_steps: int, excitation: str = "mixed
                 mode, mode_left = "hold", int(rng.integers(25, 60))
             elif mode_left <= 0:
                 draw = rng.random()
-                if excitation == "steps":
-                    mode = "hold"
-                else:
-                    mode = "ramp" if draw < 0.45 else ("walk" if draw < 0.7 else "hold")
+                mode = "ramp" if draw < 0.45 else ("walk" if draw < 0.7 else "hold")
                 mode_left = int(rng.integers(15, 50))
-                if mode == "hold" and excitation == "steps":
-                    knife = float(np.clip(knife + rng.uniform(-30.0, 30.0), k_lo, k_hi))
-                    gap = float(np.clip(gap + rng.uniform(-0.4, 0.4), g_lo, g_hi))
                 if mode == "ramp":
                     # varied rates keep controller-scale moves in support
                     k_target, g_target = draw_targets()

@@ -92,58 +92,52 @@ def test_matmul_inner_dim_error():
 # ----------------------------------------------------------------------
 
 def test_conv1d_hand_case():
-    x = Tensor(np.ones((4, 1)))
+    x = Tensor(np.ones((1, 4, 1)))
     k = Tensor(np.ones((2, 1, 1)))
     assert np.array_equal(ad.conv1d(x, k).data.ravel(), [2.0, 2.0, 2.0])
 
 
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((6, 1))
+    x = rng.standard_normal((1, 6, 1))
     out = ad.conv1d(Tensor(x), Tensor(np.ones((1, 1, 1))))
     assert np.allclose(out.data, x)
 
 
 def test_conv1d_zero_kernel():
     rng = np.random.default_rng(2)
-    out = ad.conv1d(Tensor(rng.standard_normal((5, 2))), Tensor(np.zeros((2, 2, 3))))
-    assert np.array_equal(out.data, np.zeros((4, 3)))
+    out = ad.conv1d(Tensor(rng.standard_normal((1, 5, 2))), Tensor(np.zeros((2, 2, 3))))
+    assert np.array_equal(out.data, np.zeros((1, 4, 3)))
 
 
 def test_conv1d_kernel_longer_than_input_errors():
     with pytest.raises(ValueError, match="exceeds input length"):
-        ad.conv1d(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1, 1))))
-
-
-def test_conv1d_stride_output_length():
-    x = Tensor(np.arange(10.0)[:, None])
-    out = ad.conv1d(x, Tensor(np.ones((3, 1, 1))), stride=2)
-    assert out.shape[0] == (10 - 3) // 2 + 1
+        ad.conv1d(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((4, 1, 1))))
 
 
 def test_max_pool_hand_case():
-    x = Tensor(np.array([1.0, 3.0, 2.0, 5.0])[:, None])
+    x = Tensor(np.array([1.0, 3.0, 2.0, 5.0])[None, :, None])
     assert np.array_equal(ad.max_pool1d(x, 2).data.ravel(), [3.0, 5.0])
 
 
 def test_max_pool_window_one_is_identity():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 2))
+    x = rng.standard_normal((1, 5, 2))
     assert np.array_equal(ad.max_pool1d(Tensor(x), 1).data, x)
 
 
 def test_max_pool_constant_input():
-    out = ad.max_pool1d(Tensor(np.full((6, 2), 4.2)), 3)
+    out = ad.max_pool1d(Tensor(np.full((1, 6, 2), 4.2)), 3)
     assert np.all(out.data == 4.2)
 
 
 def test_max_pool_empty_output_errors():
     with pytest.raises(ValueError, match="longer than input"):
-        ad.max_pool1d(Tensor(np.zeros((2, 1))), 3)
+        ad.max_pool1d(Tensor(np.zeros((1, 2, 1))), 3)
 
 
 def test_max_pool_tie_routes_to_first():
-    x = Tensor(np.array([2.0, 2.0])[:, None], requires_grad=True)
+    x = Tensor(np.array([2.0, 2.0])[None, :, None], requires_grad=True)
     backward(ad.sum_(ad.max_pool1d(x, 2)))
     assert np.array_equal(x.grad.ravel(), [1.0, 0.0])
 

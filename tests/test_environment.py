@@ -95,12 +95,6 @@ def test_steady_reward_gated_outside_threshold():
     assert r_s == 0.0
 
 
-def test_steady_reward_ungated_goes_negative():
-    cfg = RewardConfig(gate_steady=False)
-    *_, r_s = reward_components(make_objective(1.5), cfg)
-    assert r_s == pytest.approx(0.5 * (1.0 - 1.5), abs=1e-12)
-
-
 # ----------------------------------------------------------------------
 # total reward
 # ----------------------------------------------------------------------
@@ -273,17 +267,6 @@ def test_episode_is_deterministic_given_seed():
         assert np.array_equal(sa, sb) and ra == rb
 
 
-def test_weight_change_affects_only_subsequent_steps():
-    env = env_with_stub(seed=13)
-    env.reset()
-    _, r1, _, _ = env.step(np.array([0.5, 0.0, 0.0]))
-    env.set_objective_weights((1.0, 0.0))
-    assert env.objective_weights == pytest.approx((1.0, 0.0))
-    _, r2, _, info = env.step(np.zeros(3))
-    comp = info["components"]["width"]
-    assert r2 == pytest.approx(float(np.clip(sum(comp), -5, 5)), abs=1e-12)
-
-
 def test_unreachable_target_raises():
     with pytest.raises(ValueError, match="outside reachable range"):
         env_with_stub(width_target=900.0)
@@ -340,8 +323,16 @@ def test_oracle_eval_is_deterministic():
     assert a[0]["total_reward"] == b[0]["total_reward"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_refuses_a_non_finite_action(bad):
+    env = FilmLineEnv(PlantBackend(PlantParams()), EpisodeConfig(), RewardConfig(), seed=2)
+    env.reset()
+    with pytest.raises(ValueError, match="non-finite action"):
+        env.step(np.array([0.1, bad, 0.0]))
+
+
 def test_plant_backend_runs_true_dynamics():
-    backend = PlantBackend(PlantParams(), noisy=False)
+    backend = PlantBackend(PlantParams())
     w0, h0 = backend.reset(470.0, 3.0, 3.0)
     assert w0 == pytest.approx(width_steady_state(PlantParams(), 470.0, 3.0))
     w1, h1 = backend.step(472.0, 3.0, 3.0)

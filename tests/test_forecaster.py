@@ -113,7 +113,7 @@ def test_eval_mode_is_bit_deterministic():
     cfg = TINY_FORECASTER
     rng = np.random.default_rng(6)
     params = LstnetParams.init(cfg, 4, rng)
-    window = rng.standard_normal((cfg.window, 4))
+    window = rng.standard_normal((1, cfg.window, 4))
     with no_grad():
         a = lstnet_forward(cfg, params, window, training=False).data
         b = lstnet_forward(cfg, params, window, training=False).data
@@ -163,7 +163,7 @@ def test_forward_rejects_wrong_window_length():
     cfg = TINY_FORECASTER
     params = LstnetParams.init(cfg, 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="window length"):
-        lstnet_forward(cfg, params, np.zeros((cfg.window + 1, 4)))
+        lstnet_forward(cfg, params, np.zeros((1, cfg.window + 1, 4)))
 
 
 def test_lstnet_gradients_match_finite_differences():
@@ -282,9 +282,9 @@ def test_linreg_recovers_exactly_linear_target():
 
 def test_linreg_ridge_is_gentle_on_well_conditioned_data():
     ds = make_toy_series(n_rows=800, seed=14, target_kind="lagged-linear")
-    m1, _ = linreg_baseline(ds, "target", window=12, ridge=1e-6)
-    m2, _ = linreg_baseline(ds, "target", window=12, ridge=0.0)
-    assert np.abs(m1.coefficients - m2.coefficients).max() < 1e-3
+    c1, _ = linreg_baseline(ds, "target", window=12, ridge=1e-6)
+    c2, _ = linreg_baseline(ds, "target", window=12, ridge=0.0)
+    assert np.abs(c1 - c2).max() < 1e-3
 
 
 def test_linreg_handles_duplicate_features():
@@ -294,11 +294,3 @@ def test_linreg_handles_duplicate_features():
                                         ds.values[:, -1:]], axis=1))
     _, metrics = linreg_baseline(dup, "target", window=12)
     assert np.isfinite(metrics.mae)
-
-
-def test_linreg_window_mean_flavor():
-    ds = make_toy_series(n_rows=500, seed=16)
-    _, metrics = linreg_baseline(ds, "target", window=12, flavor="window-mean")
-    assert np.isfinite(metrics.mae)
-    with pytest.raises(ValueError):
-        linreg_baseline(ds, "target", flavor="bogus")

@@ -74,6 +74,18 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("forecaster", "patience", "5"),
+    ("reward", "gate_steady", "false"),
+    ("experiment", "dataset_excitation", "steps"),
+])
+def test_removed_config_keys_are_rejected_by_name(tmp_path, section, key, value):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"\[{section}\]: unknown key '{key}'"):
+        load_config(str(path))
+
+
 def test_unknown_section_is_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[misc]\nx = 1\n")
