@@ -145,7 +145,7 @@ class MultiPathPpoAgent:
         n_heads = 1 if shared_advantage else len(branches)
         self.critic = CriticNetwork(state_dim, n_heads, net_rng,
                                     trunk_sizes=list(self.cfg.trunk_sizes))
-        self.params = self.policy.tensors() + self.critic.tensors()
+        self.params = list(self.named_tensors().values())
         self.opt = Adam(self.params, lr=self.cfg.lr)
         self._offsets = np.cumsum([0] + [b.action_dims for b in branches])
 

@@ -3,10 +3,10 @@
 Implements exactly the primitives the rest of the package needs: pointwise
 arithmetic, matrix products, valid 1-d convolution, non-overlapping max
 pooling, layer normalization, axis reductions and a few structural ops
-(bias/column broadcasting, time-step gather, concatenation). Every primitive
-records a node with a hand-written backward rule; ``backward`` linearizes the
-recorded graph into a :class:`Tape` and walks it once in reverse, accumulating
-gradients into the leaf tensors.
+(bias/column broadcasting, time-step gather, row or column slices,
+concatenation). Every primitive records a node with a hand-written backward
+rule; ``backward`` linearizes the recorded graph into a :class:`Tape` and walks
+it once in reverse, accumulating gradients into the leaf tensors.
 
 Broadcasting is deliberately restricted to scalar-vs-array and equal shapes;
 anything richer (bias rows, per-column scaling) goes through a dedicated
@@ -358,18 +358,19 @@ def take_time(x: Tensor, t: int) -> Tensor:
     return _make(out, "take_time", (x,), bw)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Select rows [start, stop) of a rank-2 tensor."""
-    if x.ndim != 2:
-        raise ValueError(f"slice_rows: expects rank 2, got {x.shape}")
-    out = x.data[start:stop]
+def slice_(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
+    """Select rows (axis 0) or columns (axis 1) [start, stop) of a rank-2 tensor."""
+    if x.ndim != 2 or axis not in (0, 1):
+        raise ValueError(f"slice_: expects rank 2 and axis 0 or 1, got {x.shape}, axis {axis}")
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = x.data[index]
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        gx[start:stop] = g
+        gx[index] = g
         return (gx,)
 
-    return _make(out, "slice_rows", (x,), bw)
+    return _make(out, "slice", (x,), bw)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

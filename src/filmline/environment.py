@@ -441,7 +441,6 @@ class FilmLineEnv:
             "thickness_error_mm": h - ep.thickness_target,
             "components": {o.name: c for o, c in zip(self._objectives, components)},
             "within_tolerance": all(within),
-            "setpoints": new.copy(),
             "applied_action_units": applied_units,
         }
         return self._state_vector(), reward, done, info

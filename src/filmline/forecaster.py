@@ -16,13 +16,12 @@ ordinary-least-squares baseline on the last-step feature vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d, relu, slice_rows,
-    take_time,
+    Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d, relu, slice_, take_time,
 )
 from . import autodiff as ad
 from .cells import GruParams, LstmParams, gru_cell, lstm_cell
@@ -152,20 +151,16 @@ class LstnetParams:
         )
 
     def tensors(self) -> list[Tensor]:
-        return ([self.conv_k, self.conv_b, self.ln_gain, self.ln_bias]
-                + self.lstm.tensors() + self.gru.tensors()
-                + self.fusion.tensors() + self.out.tensors())
+        return list(self.named().values())
 
     def named(self) -> dict[str, Tensor]:
         named = {"conv_k": self.conv_k, "conv_b": self.conv_b,
-                 "ln_gain": self.ln_gain, "ln_bias": self.ln_bias,
-                 "fusion.w": self.fusion.w, "fusion.b": self.fusion.b,
-                 "out.w": self.out.w, "out.b": self.out.b}
-        from dataclasses import fields as dc_fields
-        for f in dc_fields(self.lstm):
-            named[f"lstm.{f.name}"] = getattr(self.lstm, f.name)
-        for f in dc_fields(self.gru):
-            named[f"gru.{f.name}"] = getattr(self.gru, f.name)
+                 "ln_gain": self.ln_gain, "ln_bias": self.ln_bias}
+        for prefix, cell in (("lstm", self.lstm), ("gru", self.gru)):
+            for f in fields(cell):
+                named[f"{prefix}.{f.name}"] = getattr(cell, f.name)
+        named.update({"fusion.w": self.fusion.w, "fusion.b": self.fusion.b,
+                      "out.w": self.out.w, "out.b": self.out.b})
         return named
 
     def snapshot(self) -> list[np.ndarray]:
@@ -205,7 +200,7 @@ def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
         # phase-major stacking keeps each phase's subsequence contiguous in rows
         step = concat([take_time(normed, start + j + t * p) for j in range(p)], axis=0)
         hs = gru_cell(step, hs, params.gru)
-    skip_parts = [slice_rows(hs, j * b_n, (j + 1) * b_n) for j in range(p)]
+    skip_parts = [slice_(hs, j * b_n, (j + 1) * b_n, axis=0) for j in range(p)]
 
     merged = concat([h] + skip_parts, axis=1)
     merged = dropout(merged, cfg.dropout, rng, training)
@@ -219,10 +214,9 @@ def lstnet_predict(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
     [B, 1] normalized predictions.
 
     No Tensor is built and nothing is recorded. Every product and sum is the
-    one ``lstnet_forward`` computes, in the same order, so the results are
-    bit-identical. The per-gate weights are stacked at call time, LSTM into
-    [in, 4H] / [H, 4H] and GRU into [in, 3H] / [H, 2H] with the reset-gated
-    ``w_hn`` kept apart, and each step's gates take one sigmoid.
+    one ``lstnet_forward`` computes, in the same order, on the same stacked
+    gate weights, so the results are bit-identical; each step's gates take one
+    sigmoid.
     """
     b_n, t_n, _ = windows.shape
     if t_n != cfg.window:
@@ -247,9 +241,7 @@ def lstnet_predict(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
     normed = (pooled - mu) * inv * params.ln_gain.data + params.ln_bias.data
 
     lp, hid = params.lstm, cfg.lstm_hidden
-    wx = np.concatenate([lp.w_xi.data, lp.w_xf.data, lp.w_xg.data, lp.w_xo.data], axis=1)
-    wh = np.concatenate([lp.w_hi.data, lp.w_hf.data, lp.w_hg.data, lp.w_ho.data], axis=1)
-    b = np.concatenate([lp.b_i.data, lp.b_f.data, lp.b_g.data, lp.b_o.data])
+    wx, wh, b = lp.wx.data, lp.wh.data, lp.b.data
     h = np.zeros((b_n, hid))
     c = np.zeros((b_n, hid))
     for t in range(length):
@@ -260,9 +252,7 @@ def lstnet_predict(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
         h = gates[:, 3 * hid:] * np.tanh(c)
 
     gp, sh, p = params.gru, cfg.skip_hidden, cfg.skip_period
-    wx = np.concatenate([gp.w_xz.data, gp.w_xr.data, gp.w_xn.data], axis=1)
-    wh = np.concatenate([gp.w_hz.data, gp.w_hr.data], axis=1)
-    b = np.concatenate([gp.b_z.data, gp.b_r.data])
+    wx, wh, b = gp.wx.data, gp.wh.data, gp.b.data
     n_steps = length // p
     start = length - n_steps * p
     hs = np.zeros((b_n * p, sh))

@@ -148,6 +148,8 @@ def _apply_section(section: str, items: dict, target):
 
 
 _BRANCH_KEYS = ("clip_epsilon", "discount", "loss_weight", "init_sigma", "hidden_sizes")
+# reward terms each variant switches itself (variant_setup), so a file must not set them
+_VARIANT_REWARD_KEYS = ("use_progress", "use_action_penalty", "use_steady")
 
 
 def _apply_agent_section(items: dict, agent: AgentConfig) -> AgentConfig:
@@ -193,6 +195,11 @@ def load_config(path: str | None = None) -> AppConfig:
         elif section == "env":
             cfg.env = _apply_section(section, items, cfg.env)
         elif section == "reward":
+            for key in _VARIANT_REWARD_KEYS:
+                if key in items:
+                    raise ValueError(
+                        f"config [reward]: {key!r} is set by the variant; run the "
+                        "reward-1 ... reward-4 variants to switch reward terms")
             cfg.reward = _apply_section(section, items, cfg.reward)
         elif section == "agent":
             cfg.agent = _apply_agent_section(items, cfg.agent)

@@ -42,9 +42,6 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return bias_add(matmul(x, self.w), self.b)
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
-
 
 class Mlp:
     """Stack of Dense layers with tanh between them and a linear final layer."""
@@ -63,9 +60,6 @@ class Mlp:
             if i < len(self.layers) - 1 or final_tanh:
                 x = tanh(x)
         return x
-
-    def tensors(self) -> list[Tensor]:
-        return [t for layer in self.layers for t in layer.tensors()]
 
 
 @dataclass
@@ -135,11 +129,7 @@ class PolicyNetwork:
         return out
 
     def tensors(self) -> list[Tensor]:
-        params = self.trunk.tensors()
-        for head, log_std in zip(self.heads, self.log_stds):
-            params += head.tensors()
-            params.append(log_std)
-        return params
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict[str, Tensor]:
         named = {}
@@ -183,10 +173,7 @@ class CriticNetwork:
         return np.concatenate([o.data for o in outs], axis=1)
 
     def tensors(self) -> list[Tensor]:
-        params = self.trunk.tensors()
-        for head in self.heads:
-            params += head.tensors()
-        return params
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict[str, Tensor]:
         named = {}

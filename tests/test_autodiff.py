@@ -274,8 +274,8 @@ def test_structural_ops_gradients():
         b = ad.take_time(x, 4)
         c = ad.concat([a, b], axis=0)
         d = ad.scale_cols(c, v)
-        e = ad.concat([ad.slice_rows(d, 0, 2), ad.slice_rows(d, 2, 4)], axis=1)
-        return ad.mean_(ad.square(e))
+        e = ad.concat([ad.slice_(d, 0, 2, axis=0), ad.slice_(d, 2, 4, axis=0)], axis=1)
+        return ad.mean_(ad.square(ad.slice_(e, 1, 5, axis=1)))
 
     assert finite_diff_check(loss, [x, v]) < 1e-4
 
@@ -323,7 +323,7 @@ def test_lstm_zero_params_gives_zero_hidden():
 def test_lstm_saturated_forget_gate_propagates_cell():
     rng = np.random.default_rng(41)
     p = LstmParams.init(3, 4, rng)
-    p.b_f.data[...] = 50.0  # forget gate pinned at 1
+    p.b.data[4:8] = 50.0  # forget gate (column block 1 of i, f, g, o) pinned at 1
     x = rng.standard_normal((1, 3))
     h0 = rng.standard_normal((1, 4))
     c0 = rng.standard_normal((1, 4))
@@ -333,18 +333,67 @@ def test_lstm_saturated_forget_gate_propagates_cell():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    i_np = sig(x @ p.w_xi.data + h0 @ p.w_hi.data + p.b_i.data)
-    g_np = np.tanh(x @ p.w_xg.data + h0 @ p.w_hg.data + p.b_g.data)
+    i_np = sig(x @ p.wx.data[:, 0:4] + h0 @ p.wh.data[:, 0:4] + p.b.data[0:4])
+    g_np = np.tanh(x @ p.wx.data[:, 8:12] + h0 @ p.wh.data[:, 8:12] + p.b.data[8:12])
     assert np.allclose(c1.data, c0 + i_np * g_np, atol=1e-9)
 
 
 def test_gru_saturated_update_gate_keeps_hidden():
     rng = np.random.default_rng(43)
     p = GruParams.init(3, 4, rng)
-    p.b_z.data[...] = 50.0  # update gate pinned at 1
+    p.b.data[0:4] = 50.0  # update gate (column block 0 of z, r) pinned at 1
     h0 = rng.standard_normal((1, 4))
     h1 = gru_cell(Tensor(rng.standard_normal((1, 3))), Tensor(h0), p)
     assert np.allclose(h1.data, h0, atol=1e-9)
+
+
+def test_stacked_init_matches_per_gate_draws():
+    in_dim, hid = 3, 4
+    s = 1.0 / np.sqrt(max(in_dim, hid))
+    for cls, gates in ((LstmParams, "ifgo"), (GruParams, "zrn")):
+        init_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        p = cls.init(in_dim, hid, init_rng)
+        for k in range(len(gates)):  # input then recurrent weights, gate by gate
+            cols = slice(k * hid, (k + 1) * hid)
+            assert np.array_equal(p.wx.data[:, cols], rng.standard_normal((in_dim, hid)) * s)
+            wh = p.w_hn.data if gates[k] == "n" else p.wh.data[:, cols]
+            assert np.array_equal(wh, rng.standard_normal((hid, hid)) * s)
+        assert p.wx.shape == (in_dim, len(gates) * hid)
+        assert not any(np.any(t.data) for t in p.tensors() if t.ndim == 1)  # zero biases
+        assert init_rng.random() == rng.random()  # the stream is left where it was
+
+
+def _sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def test_lstm_cell_matches_numpy_gates_at_batch_2():
+    rng = np.random.default_rng(47)
+    x, h0, c0 = (rng.standard_normal((2, n)) for n in (3, 4, 4))
+    p = LstmParams.init(3, 4, rng)
+    p.b.data[...] = rng.standard_normal(16)
+
+    def pre(k):  # column block k of i, f, g, o
+        cols = slice(4 * k, 4 * (k + 1))
+        return x @ p.wx.data[:, cols] + h0 @ p.wh.data[:, cols] + p.b.data[cols]
+
+    c_np = _sig(pre(1)) * c0 + _sig(pre(0)) * np.tanh(pre(2))
+    h, c = lstm_cell(Tensor(x), Tensor(h0), Tensor(c0), p)
+    assert np.allclose(c.data, c_np, atol=1e-12)
+    assert np.allclose(h.data, _sig(pre(3)) * np.tanh(c_np), atol=1e-12)
+
+
+def test_gru_cell_matches_numpy_gates_at_batch_2():
+    rng = np.random.default_rng(53)
+    x, h0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
+    p = GruParams.init(3, 4, rng)
+    p.b.data[...] = rng.standard_normal(8)
+    p.b_n.data[...] = rng.standard_normal(4)
+    z = _sig(x @ p.wx.data[:, 0:4] + h0 @ p.wh.data[:, 0:4] + p.b.data[0:4])
+    r = _sig(x @ p.wx.data[:, 4:8] + h0 @ p.wh.data[:, 4:8] + p.b.data[4:8])
+    n = np.tanh(x @ p.wx.data[:, 8:12] + (r * h0) @ p.w_hn.data + p.b_n.data)
+    h1 = gru_cell(Tensor(x), Tensor(h0), p)
+    assert np.allclose(h1.data, z * h0 + (1.0 - z) * n, atol=1e-12)
 
 
 def test_gru_zero_params_zero_state():

@@ -257,6 +257,28 @@ def test_model_save_load_roundtrip(tmp_path, micro_models):
     assert loaded.predict(window) == pytest.approx(width.predict(window), abs=1e-12)
 
 
+def test_per_gate_forecaster_file_is_refused(tmp_path, micro_models):
+    # the layout forecaster files had before the gate weights were stored stacked
+    width, _, _ = micro_models
+    path = tmp_path / "per_gate.npz"
+    width.save(path)
+    with np.load(path) as data:
+        entries = {k: data[k] for k in data.files}
+    for cell, hid, gates in (("lstm", width.cfg.lstm_hidden, "ifgo"),
+                             ("gru", width.cfg.skip_hidden, "zr")):
+        wx, wh, b = (entries.pop(f"param:{cell}.{k}") for k in ("wx", "wh", "b"))
+        for k, gate in enumerate(gates):
+            cols = slice(k * hid, (k + 1) * hid)
+            entries[f"param:{cell}.w_x{gate}"] = wx[:, cols]
+            entries[f"param:{cell}.w_h{gate}"] = wh[:, cols]
+            entries[f"param:{cell}.b_{gate}"] = b[cols]
+        if cell == "gru":
+            entries["param:gru.w_xn"] = wx[:, 2 * hid:]
+    np.savez(path, **entries)
+    with pytest.raises(ValueError, match=r"per_gate\.npz.*param:lstm\.wx"):
+        LstnetModel.load(path, width.cfg)
+
+
 # ----------------------------------------------------------------------
 # dataset files
 # ----------------------------------------------------------------------

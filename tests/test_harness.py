@@ -86,6 +86,15 @@ def test_removed_config_keys_are_rejected_by_name(tmp_path, section, key, value)
         load_config(str(path))
 
 
+@pytest.mark.parametrize("key", ["use_progress", "use_action_penalty", "use_steady"])
+def test_variant_reward_switches_are_rejected_by_name(tmp_path, key):
+    # variant_setup sets these for every variant, so a file value would be lost
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[reward]\n{key} = false\n")
+    with pytest.raises(ValueError, match=rf"\[reward\]: '{key}'.*reward-1"):
+        load_config(str(path))
+
+
 def test_unknown_section_is_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[misc]\nx = 1\n")
