@@ -227,8 +227,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-    return _make(out, "relu", (x,), lambda g: (g * mask,))
+    return _make(out, "relu", (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def square(x: Tensor) -> Tensor:
@@ -380,9 +379,9 @@ def concat(parts, axis: int = 0) -> Tensor:
         raise ValueError("concat: axis must be 0 or 1")
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
+        offsets = np.cumsum([0] + sizes)
         if axis == 0:
             return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
@@ -413,8 +412,8 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     t_out = t_n - k + 1
 
     # im2col: windows [b, t_out, k, c_in] -> one matmul against [k*c_in, c_out]
-    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)  # [b, t_out, c, k]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(b_n * t_out, k * c_in)
+    cols = np.stack([x.data[:, j:j + t_out] for j in range(k)], axis=2)
+    cols = cols.reshape(b_n * t_out, k * c_in)
     kflat = kernels.data.reshape(k * c_in, c_out)
     out = (cols @ kflat).reshape(b_n, t_out, c_out)
 
@@ -444,10 +443,10 @@ def max_pool1d(x: Tensor, window: int) -> Tensor:
     if t_out == 0:
         raise ValueError(f"max_pool1d: window {window} longer than input {t_n}")
     blocks = x.data[:, : t_out * window, :].reshape(b_n, t_out, window, c_n)
-    arg = np.argmax(blocks, axis=2)  # first occurrence on ties
-    out = np.take_along_axis(blocks, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    out = blocks.max(axis=2)
 
     def bw(g):
+        arg = np.argmax(blocks, axis=2)  # first occurrence on ties
         gblocks = np.zeros_like(blocks)
         np.put_along_axis(gblocks, arg[:, :, None, :], g[:, :, None, :], axis=2)
         gx = np.zeros_like(x.data)

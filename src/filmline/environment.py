@@ -311,8 +311,9 @@ class FilmLineEnv:
         w_at_hi, _ = self.backend.settle(k_hi, g_mid, g_mid)
         _, h_in_lo = self.backend.settle(k_mid, g_in_lo, g_in_lo)
         _, h_in_hi = self.backend.settle(k_mid, g_in_hi, g_in_hi)
-        self._knife_of_width = _affine_inverse(k_lo, k_hi, w_at_lo, w_at_hi)
-        self._gap_of_thickness = _affine_inverse(g_in_lo, g_in_hi, h_in_lo, h_in_hi)
+        self._knife_of_width = _affine_inverse("knife->width", k_lo, k_hi, w_at_lo, w_at_hi)
+        self._gap_of_thickness = _affine_inverse("gap->thickness", g_in_lo, g_in_hi,
+                                                 h_in_lo, h_in_hi)
 
         # reachability is a joint question: measure each axis's span while the
         # other actuator sits at its target-implied set-point
@@ -484,7 +485,10 @@ def _fresh_objective(name, value, target, tolerance, setpoints, scales) -> Objec
     )
 
 
-def _affine_inverse(x_lo, x_hi, y_lo, y_hi):
+def _affine_inverse(response: str, x_lo, x_hi, y_lo, y_hi):
+    if y_hi == y_lo:
+        raise ValueError(f"flat {response} response: the probes at {x_lo:g} and {x_hi:g} "
+                         f"read {y_lo!r} and {y_hi!r}")
     slope = (y_hi - y_lo) / (x_hi - x_lo)
 
     def inverse(y):

@@ -6,9 +6,9 @@ path runs one shared GRU over every p-th pooled step, one subsequence per
 phase offset, and concatenates the final hidden states; with p = 1 it
 degenerates to an ordinary GRU over the pooled sequence.
 
-``lstnet_forward`` builds the autodiff graph that training differentiates;
-``lstnet_predict`` computes the same eval-mode forward in plain numpy, bit for
-bit, and is what inference and validation run.
+``lstnet_forward`` is the one forward: training records its graph, inference
+and validation run it under ``no_grad``. Each recurrent path is one node
+over the whole sequence (``cells.lstm_scan``, ``cells.gru_scan``).
 
 Also provides the training loop (Adam on MAE), evaluation metrics and an
 ordinary-least-squares baseline on the last-step feature vector.
@@ -20,11 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d, relu, slice_, take_time,
-)
+from .autodiff import Tensor, bias_add, concat, conv1d, dropout, layer_norm, max_pool1d, relu
 from . import autodiff as ad
-from .cells import GruParams, LstmParams, gru_cell, lstm_cell
+# gru_cell/lstm_cell go unused here; perfbench/layers.py wraps them (--trace 1 fails without)
+from .cells import GruParams, LstmParams, gru_cell, gru_scan, lstm_cell, lstm_scan  # noqa: F401
 from .nets import Dense, config_fingerprint, load_checkpoint, save_checkpoint
 from .optim import Adam
 
@@ -175,7 +174,7 @@ def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
                    training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Normalized next-step prediction for a [B, T, F] window batch."""
     windows = np.asarray(windows, dtype=np.float64)
-    b_n, t_n, _ = windows.shape
+    _, t_n, _ = windows.shape
     if t_n != cfg.window:
         raise ValueError(f"forecaster: window length {t_n} != configured {cfg.window}")
     if training and cfg.dropout > 0 and rng is None:
@@ -185,89 +184,11 @@ def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndar
     conv = relu(bias_add(conv1d(x, params.conv_k), params.conv_b))
     pooled = max_pool1d(conv, cfg.pool_window)
     normed = layer_norm(pooled, params.ln_gain, params.ln_bias)
-
-    length = cfg.pooled_length
-    h = Tensor(np.zeros((b_n, cfg.lstm_hidden)))
-    c = Tensor(np.zeros((b_n, cfg.lstm_hidden)))
-    for t in range(length):
-        h, c = lstm_cell(take_time(normed, t), h, c, params.lstm)
-
-    p = cfg.skip_period
-    n_steps = length // p
-    start = length - n_steps * p
-    hs = Tensor(np.zeros((b_n * p, cfg.skip_hidden)))
-    for t in range(n_steps):
-        # phase-major stacking keeps each phase's subsequence contiguous in rows
-        step = concat([take_time(normed, start + j + t * p) for j in range(p)], axis=0)
-        hs = gru_cell(step, hs, params.gru)
-    skip_parts = [slice_(hs, j * b_n, (j + 1) * b_n, axis=0) for j in range(p)]
-
-    merged = concat([h] + skip_parts, axis=1)
+    merged = concat([lstm_scan(normed, params.lstm),
+                     gru_scan(normed, params.gru, cfg.skip_period)], axis=1)
     merged = dropout(merged, cfg.dropout, rng, training)
     fused = ad.tanh(params.fusion(merged))
     return params.out(fused)
-
-
-def lstnet_predict(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndarray
-                   ) -> np.ndarray:
-    """Eval-mode ``lstnet_forward`` of a [B, T, F] window batch in plain numpy:
-    [B, 1] normalized predictions.
-
-    No Tensor is built and nothing is recorded. Every product and sum is the
-    one ``lstnet_forward`` computes, in the same order, on the same stacked
-    gate weights, so the results are bit-identical; each step's gates take one
-    sigmoid.
-    """
-    b_n, t_n, _ = windows.shape
-    if t_n != cfg.window:
-        raise ValueError(f"forecaster: window length {t_n} != configured {cfg.window}")
-
-    def sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    # conv (im2col, as autodiff.conv1d) -> relu -> max-pool -> layer norm
-    k, c_in, c_out = params.conv_k.shape
-    t_conv = t_n - k + 1
-    win = np.lib.stride_tricks.sliding_window_view(windows, k, axis=1).transpose(0, 1, 3, 2)
-    cols = np.ascontiguousarray(win).reshape(b_n * t_conv, k * c_in)
-    conv = (cols @ params.conv_k.data.reshape(k * c_in, c_out)).reshape(b_n, t_conv, c_out)
-    conv = np.maximum(conv + params.conv_b.data, 0.0)
-    length, pool = cfg.pooled_length, cfg.pool_window
-    blocks = conv[:, :length * pool, :].reshape(b_n, length, pool, c_out)
-    arg = np.argmax(blocks, axis=2)
-    pooled = np.take_along_axis(blocks, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    mu = pooled.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(pooled.var(axis=-1, keepdims=True) + 1e-5)
-    normed = (pooled - mu) * inv * params.ln_gain.data + params.ln_bias.data
-
-    lp, hid = params.lstm, cfg.lstm_hidden
-    wx, wh, b = lp.wx.data, lp.wh.data, lp.b.data
-    h = np.zeros((b_n, hid))
-    c = np.zeros((b_n, hid))
-    for t in range(length):
-        pre = normed[:, t, :] @ wx + h @ wh + b
-        gates = sigmoid(pre)
-        g = np.tanh(pre[:, 2 * hid:3 * hid])
-        c = gates[:, hid:2 * hid] * c + gates[:, :hid] * g
-        h = gates[:, 3 * hid:] * np.tanh(c)
-
-    gp, sh, p = params.gru, cfg.skip_hidden, cfg.skip_period
-    wx, wh, b = gp.wx.data, gp.wh.data, gp.b.data
-    n_steps = length // p
-    start = length - n_steps * p
-    hs = np.zeros((b_n * p, sh))
-    for t in range(n_steps):
-        # phase-major rows, as in lstnet_forward
-        step = np.concatenate([normed[:, start + j + t * p, :] for j in range(p)], axis=0)
-        pre_x = step @ wx
-        zr = sigmoid(pre_x[:, :2 * sh] + hs @ wh + b)
-        z, r = zr[:, :sh], zr[:, sh:]
-        n = np.tanh(pre_x[:, 2 * sh:] + (r * hs) @ gp.w_hn.data + gp.b_n.data)
-        hs = z * hs + (1.0 - z) * n
-
-    merged = np.concatenate([h] + [hs[j * b_n:(j + 1) * b_n] for j in range(p)], axis=1)
-    fused = np.tanh(merged @ params.fusion.w.data + params.fusion.b.data)
-    return fused @ params.out.w.data + params.out.b.data
 
 
 class LstnetModel:
@@ -284,8 +205,8 @@ class LstnetModel:
         squeeze = raw_windows.ndim == 2
         if squeeze:
             raw_windows = raw_windows[None]
-        z = (raw_windows - self.norm.mean) / self.norm.std
-        out = lstnet_predict(self.cfg, self.params, z)
+        with ad.no_grad():
+            out = lstnet_forward(self.cfg, self.params, self.norm.transform(raw_windows)).data
         anchor = raw_windows[:, -1, self.norm.target_col]
         pred = self.norm.denormalize_target(out[:, 0], anchor)
         return float(pred[0]) if squeeze else pred
@@ -360,20 +281,22 @@ def window_batch(z_rows: np.ndarray, starts: np.ndarray, window: int) -> np.ndar
     return z_rows[starts[:, None] + np.arange(window)]
 
 
+def _window_starts(n_rows: int, window: int, split: str) -> np.ndarray:
+    """First rows of the full windows inside one chronological split; each
+    window's target row, start + window, stays inside the split too."""
+    sl = dict(zip(("train", "val", "test"), chrono_split(n_rows)))[split]
+    if sl.stop - sl.start <= window:
+        raise ValueError(f"forecaster: the {split} split holds {sl.stop - sl.start} of {n_rows} "
+                         f"rows; a window of {window} needs {window + 1}")
+    return np.arange(sl.start, sl.stop - window)
+
+
 def _split_windows(dataset: SeriesDataset, target_name: str, window: int):
     """Normalize with train-only stats and index windows inside each split."""
     n = dataset.values.shape[0]
-    if n < window + 2:
-        raise ValueError(f"dataset of {n} rows is too short for window {window}")
-    tr, va, te = chrono_split(n)
-    norm = Normalizer.fit(dataset.values[tr], dataset.feature_names, target_name)
-    z = norm.transform(dataset.values)
-    splits = {}
-    for name, sl in (("train", tr), ("val", va), ("test", te)):
-        lo, hi = sl.start, sl.stop
-        starts = np.arange(lo, hi - window)  # target row start+window stays inside
-        splits[name] = starts
-    return norm, z, splits
+    splits = {name: _window_starts(n, window, name) for name in ("train", "val", "test")}
+    norm = Normalizer.fit(dataset.values[chrono_split(n)[0]], dataset.feature_names, target_name)
+    return norm, norm.transform(dataset.values), splits
 
 
 def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name: str,
@@ -382,25 +305,13 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
 
     The returned model carries the parameters with the best validation MAE.
     """
-    if dataset.values.size == 0:
-        raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(seed)
     norm, z, splits = _split_windows(dataset, target_name, cfg.window)
     tcol = norm.target_col
     raw = dataset.values
     params = LstnetParams.init(cfg, len(dataset.feature_names), rng)
     opt = Adam(params.tensors(), lr=cfg.lr)
-
-    def epoch_mae(starts: np.ndarray) -> float:
-        preds = []
-        for lo in range(0, len(starts), cfg.batch_size):
-            idx = starts[lo:lo + cfg.batch_size]
-            out = lstnet_predict(cfg, params, window_batch(z, idx, cfg.window))
-            anchor = raw[idx + cfg.window - 1, tcol]
-            preds.append(norm.denormalize_target(out[:, 0], anchor))
-        true_mm = raw[starts + cfg.window, tcol]
-        return float(np.mean(np.abs(np.concatenate(preds) - true_mm)))
-
+    model = LstnetModel(cfg, params, norm)
     trace = []
     best_val = np.inf
     best_snap = params.snapshot()
@@ -420,7 +331,7 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
             ad.backward(loss)
             opt.step()
             losses.append(float(loss.data))
-        val_mae = epoch_mae(splits["val"])
+        val_mae = evaluate_forecaster(model, dataset, tolerance=1.0, split="val").mae
         trace.append({"epoch": epoch, "train_mae_norm": float(np.mean(losses)),
                       "val_mae_mm": val_mae})
         if verbose:
@@ -429,18 +340,14 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
             best_val = val_mae
             best_snap = params.snapshot()
     params.restore(best_snap)
-    return LstnetModel(cfg, params, norm), trace
+    return model, trace
 
 
 def evaluate_forecaster(model: LstnetModel, dataset: SeriesDataset,
                         tolerance: float, split: str = "test") -> ForecastMetrics:
     """Metrics on one chronological split of a dataset (default: test)."""
     cfg = model.cfg
-    tr, va, te = chrono_split(dataset.values.shape[0])
-    sl = {"train": tr, "val": va, "test": te}[split]
-    starts = np.arange(sl.start, sl.stop - cfg.window)
-    if len(starts) == 0:
-        raise ValueError(f"empty {split} split")
+    starts = _window_starts(dataset.values.shape[0], cfg.window, split)
     preds = []
     for lo in range(0, len(starts), cfg.batch_size):
         idx = starts[lo:lo + cfg.batch_size]
@@ -474,8 +381,6 @@ def linreg_baseline(dataset: SeriesDataset, target_name: str, window: int = 32,
     coef = np.linalg.solve(gram, x.T @ y)
 
     test = splits["test"]
-    if len(test) == 0:
-        raise ValueError("empty test split")
     pred = features(test) @ coef
     true = dataset.values[test + window, tcol]
     return coef, metrics_from_errors(pred - true, tolerance)

@@ -355,3 +355,18 @@ def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
     with pytest.raises(ValueError, match="width forecaster predicted nan"):
         FilmLineEnv(backend, EpisodeConfig(width_target=scenario[0],
                                            thickness_target=scenario[1]), RewardConfig())
+
+
+@pytest.mark.parametrize("flat", ["width", "thickness"])
+def test_a_flat_response_is_refused_by_name(flat):
+    class FlatBackend(LinearBackend):
+        def step(self, knife, ds, os_):
+            width, thickness = super().step(knife, ds, os_)
+            return (480.0, thickness) if flat == "width" else (width, 3.0)
+
+    response = {"width": "knife->width", "thickness": "gap->thickness"}[flat]
+    reading = {"width": "480.0", "thickness": "3.0"}[flat]
+    with pytest.raises(ValueError, match=f"flat {response} response: .* read {reading} and "
+                                         f"{reading}$"):
+        FilmLineEnv(FlatBackend(), EpisodeConfig(width_target=480.0, thickness_target=3.0),
+                    RewardConfig())

@@ -5,11 +5,11 @@ import pytest
 
 from filmline import autodiff as ad
 from filmline.autodiff import Tensor, no_grad
-from filmline.cells import gru_cell
+from filmline.cells import gru_cell, gru_scan, lstm_cell, lstm_scan
 from filmline.forecaster import (
     ForecasterConfig, LstnetModel, LstnetParams, Normalizer, SeriesDataset,
     chrono_split, evaluate_forecaster, linreg_baseline, load_series, lstnet_forward,
-    lstnet_predict, metrics_from_errors, save_series, train_forecaster, window_batch,
+    metrics_from_errors, save_series, train_forecaster, window_batch,
 )
 
 from conftest import MICRO_FORECASTER, TINY_FORECASTER, finite_diff_check, make_toy_series
@@ -120,30 +120,73 @@ def test_eval_mode_is_bit_deterministic():
     assert np.array_equal(a, b)
 
 
+def per_step_forward(cfg, params, windows):
+    """``lstnet_forward`` built step by step from ``lstm_cell``/``gru_cell``
+    nodes, with the skip path's phases stacked phase-major in rows: the
+    reference for the whole-sequence scans."""
+    b_n = windows.shape[0]
+    x = Tensor(windows)
+    conv = ad.relu(ad.bias_add(ad.conv1d(x, params.conv_k), params.conv_b))
+    pooled = ad.max_pool1d(conv, cfg.pool_window)
+    normed = ad.layer_norm(pooled, params.ln_gain, params.ln_bias)
+    length, p = cfg.pooled_length, cfg.skip_period
+    h = Tensor(np.zeros((b_n, cfg.lstm_hidden)))
+    c = Tensor(np.zeros((b_n, cfg.lstm_hidden)))
+    for t in range(length):
+        h, c = lstm_cell(ad.take_time(normed, t), h, c, params.lstm)
+    n_steps = length // p
+    start = length - n_steps * p
+    hs = Tensor(np.zeros((b_n * p, cfg.skip_hidden)))
+    for t in range(n_steps):
+        step = ad.concat([ad.take_time(normed, start + j + t * p) for j in range(p)], axis=0)
+        hs = gru_cell(step, hs, params.gru)
+    skip = [ad.slice_(hs, j * b_n, (j + 1) * b_n, axis=0) for j in range(p)]
+    fused = ad.tanh(params.fusion(ad.concat([h] + skip, axis=1)))
+    return params.out(fused)
+
+
 # the default config pools to 13 steps with skip period 4, so its skip path
 # starts at pooled step 1; period 1 makes the skip path one plain GRU
 @pytest.mark.parametrize("cfg", [MICRO_FORECASTER, ForecasterConfig(),
                                  ForecasterConfig(skip_period=1)],
                          ids=["micro", "default", "skip-period-1"])
 @pytest.mark.parametrize("batch", [1, 37])
-def test_lstnet_predict_is_bit_identical_to_the_graph_forward(cfg, batch):
+def test_lstnet_forward_matches_the_per_step_cell_graph(cfg, batch):
     rng = np.random.default_rng(batch)
     params = LstnetParams.init(cfg, 5, rng)
     for t in params.tensors():  # move the zero biases and unit gains off their init
         t.data = t.data + 0.1 * rng.standard_normal(t.shape)
     windows = rng.standard_normal((batch, cfg.window, 5))
-    with no_grad():
-        reference = lstnet_forward(cfg, params, windows).data
-    out = lstnet_predict(cfg, params, windows)
+    weights = rng.standard_normal((batch, 1))  # a loss whose gradient differs by row
+
+    def run(forward):
+        for t in params.tensors():
+            t.grad = None
+        out = forward(cfg, params, windows)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(weights))))
+        return out.data, {name: t.grad for name, t in params.named().items()}
+
+    ref_out, ref_grads = run(per_step_forward)
+    out, grads = run(lstnet_forward)
     assert out.shape == (batch, 1)
-    assert np.array_equal(out, reference)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    for name, ref in ref_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
 
 
-def test_predict_builds_no_tensor(monkeypatch):
+def test_scans_record_no_node_under_no_grad():
     cfg = TINY_FORECASTER
-    ds = make_toy_series(n_rows=200, seed=9)
-    norm = Normalizer.fit(ds.values[chrono_split(200)[0]], ds.feature_names, "target")
-    model = LstnetModel(cfg, LstnetParams.init(cfg, 4, np.random.default_rng(9)), norm)
+    params = LstnetParams.init(cfg, 4, np.random.default_rng(3))
+    x = Tensor(np.random.default_rng(4).standard_normal((2, 5, cfg.conv_channels)),
+               requires_grad=True)
+    with no_grad():
+        outs = [lstm_scan(x, params.lstm), gru_scan(x, params.gru, 2)]
+    assert all(o.node is None and not o.requires_grad for o in outs)
+    assert [o.shape for o in outs] == [(2, cfg.lstm_hidden), (2, 2 * cfg.skip_hidden)]
+
+
+def test_predict_builds_as_many_tensors_at_any_window_and_batch(monkeypatch):
+    # a per-step graph would build more tensors for a longer window
     built = []
     init = Tensor.__init__
 
@@ -151,12 +194,19 @@ def test_predict_builds_no_tensor(monkeypatch):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
-    model.predict(ds.values[:cfg.window])
-    model.predict(window_batch(ds.values, np.arange(5), cfg.window))
-    assert built == []
-    Tensor(np.zeros(1))  # the counter does count
-    assert built == [1]
+    counts = set()
+    ds = make_toy_series(n_rows=200, seed=9)
+    norm = Normalizer.fit(ds.values[chrono_split(200)[0]], ds.feature_names, "target")
+    for cfg in (ForecasterConfig(window=8, conv_kernel=3, skip_period=2), ForecasterConfig()):
+        model = LstnetModel(cfg, LstnetParams.init(cfg, 4, np.random.default_rng(9)), norm)
+        for batch in (1, 37):
+            windows = window_batch(ds.values, np.arange(batch), cfg.window)
+            monkeypatch.setattr(Tensor, "__init__", counting_init)
+            model.predict(windows)
+            monkeypatch.setattr(Tensor, "__init__", init)
+            counts.add(len(built))
+            built.clear()
+    assert len(counts) == 1 and 0 < counts.pop() <= 20
 
 
 def test_forward_rejects_wrong_window_length():
@@ -197,7 +247,6 @@ def test_skip_path_with_period_one_equals_plain_gru():
         conv = ad.relu(ad.bias_add(ad.conv1d(x, params.conv_k), params.conv_b))
         pooled = ad.max_pool1d(conv, cfg.pool_window)
         normed = ad.layer_norm(pooled, params.ln_gain, params.ln_bias)
-        from filmline.cells import lstm_cell
         h = Tensor(np.zeros((3, cfg.lstm_hidden)))
         c = Tensor(np.zeros((3, cfg.lstm_hidden)))
         for t in range(cfg.pooled_length):
@@ -226,6 +275,14 @@ def test_training_fits_constant_target_quickly():
     assert m.mae < 0.05  # a 7.5 mm constant target is fit to well under 1%
     assert all(np.isfinite(t["train_mae_norm"]) for t in trace)
     assert all(np.isfinite(t["val_mae_mm"]) for t in trace)
+
+
+def test_training_refuses_a_split_without_a_full_window():
+    # 40 rows split 28/6/6, and one window of 8 needs 9 rows
+    cfg = ForecasterConfig(window=8, conv_kernel=3, skip_period=2, epochs=1)
+    ds = make_toy_series(n_rows=40, seed=16)
+    with pytest.raises(ValueError, match="val split holds 6 of 40 rows; a window of 8 needs 9"):
+        train_forecaster(cfg, ds, "target")
 
 
 def test_training_rejects_empty_dataset():

@@ -366,6 +366,20 @@ def test_failed_cell_records_sentinel_and_grid_continues(tmp_path, tiny_app_conf
     assert sorted(int(row[-1]) for row in table) == [0, 1]  # failed_runs
 
 
+def test_a_flat_surrogate_reaches_disk_as_a_named_failure(tmp_path, tiny_app_config):
+    class FlatBackend:  # a surrogate whose readings ignore the set-points
+        def settle(self, knife, ds, os_):
+            return 480.0, 3.0
+
+        reset = step = settle
+
+    rec = run_cell(tiny_app_config, None, "mpd-ppo", (480.0, 3.0), 12, 0,
+                   out_dir=str(tmp_path), backend=FlatBackend())
+    assert rec.failed
+    assert rec.error.startswith("ValueError: flat knife->width response")
+    assert [r.error for r in load_records(str(tmp_path))] == [rec.error]
+
+
 def test_run_grid_shares_one_settle_memo_and_keeps_curve_bytes(tmp_path, tiny_app_config,
                                                                micro_models, monkeypatch):
     width, thickness, scenario = micro_models
