@@ -19,7 +19,7 @@ from .autodiff import Tensor, clip, exp, minimum, mul, square, sub
 from .environment import run_episodes
 from .nets import (
     BranchSpec, CriticNetwork, PolicyNetwork, config_fingerprint, gaussian_entropy,
-    gaussian_log_prob, load_checkpoint, log_prob_value, sample_action, save_checkpoint,
+    gaussian_log_prob, load_checkpoint, sample_action, save_checkpoint,
 )
 from .optim import Adam, clip_grad_norm
 
@@ -74,14 +74,13 @@ def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> 
 
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
-                   gamma: float, lam: float, next_values: np.ndarray | None = None):
+                   gamma: float, lam: float, last_value: float = 0.0):
     """Generalized advantage estimates and bootstrapped return targets.
 
-    Without ``next_values``, episode-final steps bootstrap a value of zero.
-    With ``next_values`` (one entry per step, the critic's value of the
-    successor state), episode ends are treated as truncations of a continuing
-    process: the final delta bootstraps the successor value and only the
-    lambda-recursion resets at the boundary. Returns (advantages, targets)
+    A step with ``done`` set bootstraps zero and resets the lambda-recursion.
+    Any other step bootstraps the next step's value, and the last step
+    bootstraps ``last_value``: the critic's value of the final successor when
+    the sequence is cut off rather than ended. Returns (advantages, targets)
     with targets = advantages + values.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -89,23 +88,15 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     dones = np.asarray(dones, dtype=np.float64)
     if not (len(rewards) == len(values) == len(dones)):
         raise ValueError("gae_advantages: rewards, values and dones differ in length")
-    if next_values is not None:
-        next_values = np.asarray(next_values, dtype=np.float64)
-        if len(next_values) != len(rewards):
-            raise ValueError("gae_advantages: next_values length mismatch")
     adv = np.empty_like(rewards)
     running = 0.0
-    step_next = 0.0
+    next_value = last_value
     for t in range(len(rewards) - 1, -1, -1):
         not_done = 1.0 - dones[t]
-        if next_values is not None:
-            bootstrap = next_values[t] if dones[t] else step_next
-        else:
-            bootstrap = step_next * not_done
-        delta = rewards[t] + gamma * bootstrap - values[t]
+        delta = rewards[t] + gamma * next_value * not_done - values[t]
         running = delta + gamma * lam * not_done * running
         adv[t] = running
-        step_next = values[t]
+        next_value = values[t]
     return adv, adv + values
 
 
@@ -156,17 +147,11 @@ class MultiPathPpoAgent:
         return 0 if self.shared_advantage else i
 
     # -- acting ----------------------------------------------------------
-    def act(self, state: np.ndarray):
-        """Sample one action; returns it with its per-branch log-probs and values."""
+    def act(self, state: np.ndarray) -> np.ndarray:
+        """Sample one action from the current policy."""
         with ad.no_grad():
             outs = self.policy.forward(state)
-        values = self.critic.values(state)[0]
-        action = sample_action(outs, self.rng)
-        log_probs = np.array([
-            log_prob_value(mean.data[0], std.data, action[self.branch_slice(i)])
-            for i, (mean, std) in enumerate(outs)
-        ])
-        return action, log_probs, values
+        return sample_action(outs, self.rng)
 
     def mean_action(self, state: np.ndarray) -> np.ndarray:
         """The deterministic action: every branch's Gaussian mean."""
@@ -174,30 +159,39 @@ class MultiPathPpoAgent:
             outs = self.policy.forward(state)
         return np.concatenate([mean.data[0] for mean, _ in outs])
 
+    def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """[n, branches] log-densities of ``actions`` under the current policy."""
+        with ad.no_grad():
+            outs = self.policy.forward(states)
+            return np.stack([
+                gaussian_log_prob(mean, log_std, actions[:, self.branch_slice(i)]).data
+                for i, ((mean, _), log_std) in enumerate(zip(outs, self.policy.log_stds))
+            ], axis=1)
+
     # -- updating ----------------------------------------------------------
-    def update(self, states, final_state, actions, rewards, old_lps, old_values) -> dict:
+    def update(self, states, final_state, actions, rewards) -> dict:
         """One full clipped-surrogate update on one collected episode.
 
         ``states`` holds the n visited states the actions were taken in and
-        ``final_state`` the successor of the last one; ``old_lps`` and
-        ``old_values`` are what ``act`` returned at collection time. Only the
-        last step ends the episode.
+        ``final_state`` the successor of the last one. The policy and critic
+        have not changed since collection, so the old log-probs and values
+        are computed here, in one batch each.
         """
         cfg = self.cfg
         n = len(states)
-        dones = np.zeros(n)
-        dones[-1] = 1.0
-        next_states = np.concatenate([states[1:], final_state[None]])
+        old_lps = self.log_probs(states, actions)
+        values = self.critic.values(np.concatenate([states, final_state[None]]))
         # episode ends are truncations of a continuing process: bootstrap the
-        # successor value so completing an objective is not value-penalized
-        next_head_values = self.critic.values(next_states)
+        # final successor's value so completing an objective is not
+        # value-penalized
+        dones = np.zeros(n)
 
         branch_adv = []
         branch_targets = []
         for i, b in enumerate(self.branches):
-            v = old_values[:, self.head_index(i)]
-            adv, targets = gae_advantages(rewards, v, dones, b.discount, cfg.gae_lambda,
-                                          next_values=next_head_values[:, self.head_index(i)])
+            v = values[:, self.head_index(i)]
+            adv, targets = gae_advantages(rewards, v[:-1], dones, b.discount, cfg.gae_lambda,
+                                          last_value=v[-1])
             branch_adv.append(standardize(adv, cfg.adv_eps))
             branch_targets.append(targets)
 
@@ -309,17 +303,15 @@ def train_agent(env, agent: MultiPathPpoAgent, episodes: int, steps_per_episode:
                          f"env.episode.max_steps {env.episode.max_steps}")
     curve = []
     for ep in range(episodes):
-        acted = []
+        actions = []
 
         def policy(state):
-            acted.append(agent.act(state))
-            return acted[-1][0]
+            actions.append(agent.act(state))
+            return actions[-1]
 
         (rec,) = run_episodes(env, policy, 1)
-        actions, log_probs, values = (np.stack(column) for column in zip(*acted))
         states = rec["states"]
-        up_stats = agent.update(states[:-1], states[-1], actions, rec["rewards"],
-                                log_probs, values)
+        up_stats = agent.update(states[:-1], states[-1], np.stack(actions), rec["rewards"])
         curve.append({
             "episode": ep,
             "total_reward": rec["total_reward"],

@@ -23,8 +23,8 @@ from .agent import MultiPathPpoAgent, evaluate_greedy
 from .environment import FilmLineEnv, ForecastBackend, oracle_eval
 from .forecaster import load_series, save_series
 from .harness import (
-    load_config, parse_scenario, run_ablations, run_cell, run_grid, scenario_tag,
-    stable_seed, train_or_load_forecasters, variant_setup,
+    load_config, parse_scenario, run_ablations, run_cell, run_grid, stable_seed,
+    train_or_load_forecasters, variant_setup,
 )
 
 
@@ -87,9 +87,8 @@ def cmd_evaluate(args):
     branches, shared, reward_cfg = variant_setup(args.variant, cfg.agent, cfg.reward)
     agent = MultiPathPpoAgent(episode_cfg.state_dim, branches, cfg.agent.update,
                               seed=0, shared_advantage=shared)
-    ckpt = os.path.join(args.out_dir, "runs", args.variant, scenario_tag(scenario),
-                        f"{args.steps}step", f"seed{args.seed}", "checkpoint.npz")
-    agent.load(ckpt)
+    agent.load(os.path.join(harness.cell_path(args.out_dir, args.variant, scenario, args.steps,
+                                              args.seed), "checkpoint.npz"))
 
     if args.oracle:
         records = oracle_eval(agent.mean_action, cfg.plant, episode_cfg, reward_cfg,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .forecaster import LstnetModel
-from .plant import PlantParams, PlantState, plant_step, steady_state
+from .plant import PlantParams, PlantState, check_actuator_bounds, plant_step, steady_state
 
 WIDTH_TOLERANCE = 1.0       # mm
 THICKNESS_TOLERANCE = 0.05  # mm
@@ -80,6 +80,9 @@ class EpisodeConfig:
             raise ValueError("episode: max_steps must be >= 1")
         if self.knife_scale <= 0 or self.gap_scale <= 0:
             raise ValueError("episode: action scales must be > 0")
+        check_actuator_bounds("episode", self)
+        if not 0.0 <= self.near_start_fraction <= 1.0:
+            raise ValueError("episode: near_start_fraction must be in [0, 1]")
 
     @property
     def state_dim(self) -> int:

@@ -366,9 +366,15 @@ def run_cell(cfg: AppConfig, models, variant: str, scenario, steps: int, seed: i
     return record
 
 
+def cell_path(out_dir: str, variant: str, scenario, steps: int, seed: int) -> str:
+    """Where one cell's files live: ``runs/<variant>/<tag>/<steps>step/seed<N>``."""
+    return os.path.join(out_dir, "runs", variant, scenario_tag(scenario), f"{steps}step",
+                        f"seed{seed}")
+
+
 def cell_dir(out_dir: str, record: RunRecord) -> str:
-    return os.path.join(out_dir, "runs", record.variant, scenario_tag(record.scenario),
-                        f"{record.steps_per_episode}step", f"seed{record.seed}")
+    return cell_path(out_dir, record.variant, record.scenario, record.steps_per_episode,
+                     record.seed)
 
 
 def persist_record(out_dir: str, record: RunRecord, agent: MultiPathPpoAgent | None = None):

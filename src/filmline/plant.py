@@ -57,6 +57,14 @@ def default_aux_channels() -> list[AuxChannelSpec]:
     ]
 
 
+def check_actuator_bounds(owner: str, cfg):
+    """Refuse knife or gap bounds whose low end is not below the high end."""
+    for name in ("knife_bounds", "gap_bounds"):
+        lo, hi = getattr(cfg, name)
+        if not lo < hi:
+            raise ValueError(f"{owner}: {name} low end {lo} must be below its high end {hi}")
+
+
 @dataclass
 class PlantParams:
     # width response
@@ -94,6 +102,7 @@ class PlantParams:
                           ("meas_sigma_h", self.meas_sigma_h)):
             if sig < 0:
                 raise ValueError(f"plant: {name} must be >= 0")
+        check_actuator_bounds("plant", self)
 
     def feature_names(self) -> list[str]:
         return (CONTROL_NAMES + QUALITY_NAMES + [ROLL_ANGLE_NAME]

@@ -12,7 +12,7 @@ from filmline.agent import (
     discounted_returns, evaluate_greedy, gae_advantages, standardize, train_agent,
 )
 from filmline.environment import EpisodeConfig, FilmLineEnv, RewardConfig, run_episodes
-from filmline.nets import gaussian_log_prob
+from filmline.nets import gaussian_log_prob, log_prob_value
 
 from test_environment import LinearBackend
 
@@ -31,16 +31,15 @@ def make_agent(seed=0, cfg=None, branches=None, shared=False):
 
 def collect(env, agent):
     """One sampled episode as the arguments of ``agent.update``."""
-    acted = []
+    actions = []
 
     def policy(state):
-        acted.append(agent.act(state))
-        return acted[-1][0]
+        actions.append(agent.act(state))
+        return actions[-1]
 
     (rec,) = run_episodes(env, policy, 1)
-    actions, log_probs, values = (np.stack(column) for column in zip(*acted))
     states = rec["states"]
-    return states[:-1], states[-1], actions, rec["rewards"], log_probs, values
+    return states[:-1], states[-1], np.stack(actions), rec["rewards"]
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +95,21 @@ def test_gae_lambda_one_zero_values_is_discounted_return():
 def test_gae_hand_case():
     # 2-step episode, r=[1,1], V=[0.5,0.5], gamma=0.9, lambda=0.95
     adv, targets = gae_advantages([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], 0.9, 0.95)
+    assert adv == pytest.approx([1.3775, 0.5], abs=1e-12)
+    assert targets == pytest.approx([1.8775, 1.0], abs=1e-12)
+
+
+def test_gae_last_step_bootstraps_last_value():
+    # the same episode cut off after step 2: the last delta bootstraps V(s_2) = 2
+    adv, targets = gae_advantages([1.0, 1.0], [0.5, 0.5], [0.0, 0.0], 0.9, 0.95,
+                                  last_value=2.0)
+    assert adv == pytest.approx([2.9165, 2.3], abs=1e-12)
+    assert targets == pytest.approx([3.4165, 2.8], abs=1e-12)
+
+
+def test_gae_done_last_step_ignores_last_value():
+    adv, targets = gae_advantages([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], 0.9, 0.95,
+                                  last_value=2.0)
     assert adv == pytest.approx([1.3775, 0.5], abs=1e-12)
     assert targets == pytest.approx([1.8775, 1.0], abs=1e-12)
 
@@ -179,13 +193,20 @@ def test_differentiated_clipping_is_observable():
 def test_ratio_is_one_right_after_collection():
     env = stub_env(seed=20)
     agent = make_agent(seed=1)
-    states, _, actions, _, old_lps, _ = collect(env, agent)
+    states, _, actions, _ = collect(env, agent)
+    old_lps = agent.log_probs(states, actions)
     outs = agent.policy.forward(states)
     for i, _ in enumerate(agent.branches):
         new_lp = gaussian_log_prob(outs[i][0], agent.policy.log_stds[i],
                                    actions[:, agent.branch_slice(i)])
         ratios = np.exp(new_lp.data - old_lps[:, i])
         assert np.abs(ratios - 1.0).max() < 1e-12
+        # the batched old log-prob against the closed form, one sampled action at a time
+        std = np.exp(agent.policy.log_stds[i].data)
+        for row, (state, action) in enumerate(zip(states, actions)):
+            mean = agent.policy.forward(state)[i][0].data[0]
+            expected = log_prob_value(mean, std, action[agent.branch_slice(i)])
+            assert abs(old_lps[row, i] - expected) < 1e-12
 
 
 def test_update_with_zero_lr_is_a_no_op():
@@ -216,7 +237,8 @@ def test_zero_weight_branch_head_gets_no_surrogate_gradient():
     branches = default_branches()
     branches[0].loss_weight = 0.0
     agent = make_agent(seed=4, branches=branches)
-    states, _, actions, _, old_lps, _ = collect(env, agent)
+    states, _, actions, _ = collect(env, agent)
+    old_lps = agent.log_probs(states, actions)
 
     # surrogate-only loss, composed exactly as the update does
     outs = agent.policy.forward(states)
@@ -263,9 +285,10 @@ def test_single_branch_agent_covers_full_action_space():
     single = [BranchSpec("all", action_dims=3, clip_epsilon=0.2, loss_weight=1.0,
                          init_sigma=0.5)]
     agent = make_agent(seed=7, branches=single)
-    action, lps, vals = agent.act(np.zeros(EpisodeConfig().state_dim))
+    action = agent.act(np.zeros(EpisodeConfig().state_dim))
     assert action.shape == (3,)
-    assert lps.shape == (1,) and vals.shape == (1,)
+    episode = collect(stub_env(seed=25, max_steps=6), agent)
+    assert agent.log_probs(episode[0], episode[2]).shape == (len(episode[0]), 1)
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +330,27 @@ def test_train_agent_updates_on_each_collected_episode():
     agent.update = recording_update
     curve = train_agent(env, agent, episodes=3, steps_per_episode=10)
     assert seen == [(c["optimize_step"], (env.episode.state_dim,)) for c in curve]
+
+
+def test_collection_runs_no_critic_and_update_scores_once():
+    env = stub_env(seed=35, max_steps=10)
+    agent = make_agent(seed=13, cfg=UpdateConfig(epochs=1))
+    events = []
+    values, update = agent.critic.values, agent.update
+
+    def recording_values(states):
+        events.append(("values", len(states)))
+        return values(states)
+
+    def recording_update(states, *rest):
+        events.append(("update", len(states)))
+        return update(states, *rest)
+
+    agent.critic.values = recording_values
+    agent.update = recording_update
+    (entry,) = train_agent(env, agent, episodes=1, steps_per_episode=10)
+    n = entry["optimize_step"]
+    assert events == [("update", n), ("values", n + 1)]
 
 
 def test_train_agent_refuses_a_step_count_other_than_max_steps():

@@ -109,6 +109,18 @@ def test_out_of_range_value_is_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("env", "knife_bounds", "[500, 360]"),
+    ("plant", "gap_bounds", "[3.6, 1.8]"),
+    ("env", "near_start_fraction", "1.5"),
+])
+def test_actuator_bounds_and_start_fraction_are_range_checked(tmp_path, section, key, value):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"\[{section}\].*{key}"):
+        load_config(str(path))
+
+
 def test_bad_number_names_section_and_key(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[forecaster]\nwindow = many\n")
