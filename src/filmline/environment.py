@@ -34,10 +34,6 @@ class RewardConfig:
     steady_threshold: float = 1.0    # in normalized-error units; no bonus at or above
     weights: tuple = (0.5, 0.5)      # per-objective aggregation, normalized to sum 1
     total_clip: tuple = (-5.0, 5.0)
-    # component switches for reward ablations
-    use_progress: bool = True
-    use_action_penalty: bool = True
-    use_steady: bool = True
 
     def __post_init__(self):
         for name in ("error_coef", "progress_coef", "action_penalty_coef", "steady_coef"):
@@ -46,6 +42,9 @@ class RewardConfig:
         lo, hi = self.total_clip
         if not lo < hi:
             raise ValueError(f"reward: clip bounds must satisfy lo < hi, got {self.total_clip}")
+        if len(self.weights) != 2:
+            raise ValueError(f"reward: weights must hold 2 values (width, thickness), "
+                             f"got {self.weights}")
         self.weights = normalize_weights(self.weights)
 
 
@@ -128,12 +127,10 @@ def reward_components(obj: ObjectiveState, cfg: RewardConfig) -> tuple:
 
 
 def total_reward(components: list[tuple], cfg: RewardConfig) -> float:
-    """Weighted sum over objectives of the enabled components, clipped."""
-    switches = (1.0, float(cfg.use_progress), float(cfg.use_action_penalty),
-                float(cfg.use_steady))
+    """Weighted sum over objectives of the components, clipped."""
     total = 0.0
     for w, comp in zip(cfg.weights, components):
-        total += w * sum(s * c for s, c in zip(switches, comp))
+        total += w * sum(comp)
     lo, hi = cfg.total_clip
     return float(np.clip(total, lo, hi))
 

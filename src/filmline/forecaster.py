@@ -48,6 +48,9 @@ class ForecasterConfig:
             raise ValueError("forecaster: window must be >= conv_kernel")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("forecaster: dropout must be in [0, 1)")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"forecaster: {name} must be >= 1")
         if self.skip_period < 1:
             raise ValueError("forecaster: skip_period must be >= 1")
         if self.skip_period >= self.pooled_length:

@@ -148,8 +148,13 @@ def _apply_section(section: str, items: dict, target):
 
 
 _BRANCH_KEYS = ("clip_epsilon", "discount", "loss_weight", "init_sigma", "hidden_sizes")
-# reward terms each variant switches itself (variant_setup), so a file must not set them
-_VARIANT_REWARD_KEYS = ("use_progress", "use_action_penalty", "use_steady")
+# dataclass fields a file cannot set, and why
+_REFUSED_KEYS = {
+    ("plant", "aux"): "one INI value cannot hold the auxiliary channel specs",
+    ("env", "width_target"): "each cell takes it from [experiment] scenarios",
+    ("env", "thickness_target"): "each cell takes it from [experiment] scenarios",
+    ("env", "max_steps"): "each cell takes it from [experiment] steps_options",
+}
 
 
 def _apply_agent_section(items: dict, agent: AgentConfig) -> AgentConfig:
@@ -188,6 +193,10 @@ def load_config(path: str | None = None) -> AppConfig:
         if section not in known_sections:
             raise ValueError(f"config: unknown section [{section}]")
         items = dict(parser.items(section))
+        for key in items:
+            if (section, key) in _REFUSED_KEYS:
+                raise ValueError(f"config [{section}]: {key!r} cannot be set in a file; "
+                                 f"{_REFUSED_KEYS[section, key]}")
         if section == "plant":
             cfg.plant = _apply_section(section, items, cfg.plant)
         elif section == "forecaster":
@@ -195,11 +204,6 @@ def load_config(path: str | None = None) -> AppConfig:
         elif section == "env":
             cfg.env = _apply_section(section, items, cfg.env)
         elif section == "reward":
-            for key in _VARIANT_REWARD_KEYS:
-                if key in items:
-                    raise ValueError(
-                        f"config [reward]: {key!r} is set by the variant; run the "
-                        "reward-1 ... reward-4 variants to switch reward terms")
             cfg.reward = _apply_section(section, items, cfg.reward)
         elif section == "agent":
             cfg.agent = _apply_agent_section(items, cfg.agent)
@@ -213,35 +217,33 @@ def load_config(path: str | None = None) -> AppConfig:
 # ----------------------------------------------------------------------
 
 def variant_setup(name: str, agent_cfg: AgentConfig, reward_cfg: RewardConfig):
-    """(branches, shared_advantage, reward config) for a named variant."""
+    """(branches, shared_advantage, reward config) for a named variant; ``reward-1``
+    .. ``reward-3`` drop reward terms by zeroing their coefficients."""
     width, thickness = agent_cfg.width, agent_cfg.thickness
-    full_reward = replace(reward_cfg, use_progress=True, use_action_penalty=True,
-                          use_steady=True)
     if name in ("mpd-ppo", "reward-4"):
-        return [width, thickness], False, full_reward
+        return [width, thickness], False, reward_cfg
     if name == "ppo-single-net":
         single = BranchSpec("all", action_dims=3, clip_epsilon=width.clip_epsilon,
                             discount=width.discount, loss_weight=1.0,
                             init_sigma=width.init_sigma,
                             hidden_sizes=list(width.hidden_sizes))
-        return [single], False, full_reward
+        return [single], False, reward_cfg
     if name == "ppo-multibranch-uniform-clip":
         eps = width.clip_epsilon
         return ([replace(width, clip_epsilon=eps), replace(thickness, clip_epsilon=eps)],
-                True, full_reward)
+                True, reward_cfg)
     if name == "mpd-ppo-uniform-clip":
         eps = 0.5 * (width.clip_epsilon + thickness.clip_epsilon)
         return ([replace(width, clip_epsilon=eps), replace(thickness, clip_epsilon=eps)],
-                False, full_reward)
+                False, reward_cfg)
     if name == "reward-1":
         return [width, thickness], False, replace(
-            reward_cfg, use_progress=False, use_action_penalty=False, use_steady=False)
+            reward_cfg, progress_coef=0.0, action_penalty_coef=0.0, steady_coef=0.0)
     if name == "reward-2":
         return [width, thickness], False, replace(
-            reward_cfg, use_progress=True, use_action_penalty=False, use_steady=False)
+            reward_cfg, action_penalty_coef=0.0, steady_coef=0.0)
     if name == "reward-3":
-        return [width, thickness], False, replace(
-            reward_cfg, use_progress=True, use_action_penalty=True, use_steady=False)
+        return [width, thickness], False, replace(reward_cfg, steady_coef=0.0)
     raise ValueError(f"unknown variant {name!r}")
 
 

@@ -121,13 +121,6 @@ def test_total_reward_clips_to_bounds():
     assert total == 5.0  # raw 7 against bounds [-5, 5]
 
 
-def test_total_reward_component_switches():
-    cfg = RewardConfig(weights=(1.0, 0.0), use_progress=False,
-                       use_action_penalty=False, use_steady=False)
-    total = total_reward([(1.5, 0.2, -0.3, 0.4), perfect_components()], cfg)
-    assert total == pytest.approx(1.5, abs=1e-12)
-
-
 def test_normalize_weights():
     assert normalize_weights((1.0, 1.0)) == pytest.approx((0.5, 0.5))
     with pytest.raises(ValueError):

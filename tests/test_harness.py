@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from filmline import cli
-from filmline.environment import FilmLineEnv, ForecastBackend
+from filmline.environment import EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
 from filmline.harness import (
     ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord, VARIANTS,
     aggregate_records, cell_dir, emit_outputs, load_config, load_records, mean_step_of,
@@ -17,6 +17,8 @@ from filmline.harness import (
     variant_setup, write_csv,
 )
 from filmline.svgplot import LinePlot
+
+from test_environment import LinearBackend
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +79,9 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("forecaster", "patience", "5"),
     ("reward", "gate_steady", "false"),
+    ("reward", "use_progress", "false"),
+    ("reward", "use_action_penalty", "false"),
+    ("reward", "use_steady", "false"),
     ("experiment", "dataset_excitation", "steps"),
 ])
 def test_removed_config_keys_are_rejected_by_name(tmp_path, section, key, value):
@@ -86,12 +91,30 @@ def test_removed_config_keys_are_rejected_by_name(tmp_path, section, key, value)
         load_config(str(path))
 
 
-@pytest.mark.parametrize("key", ["use_progress", "use_action_penalty", "use_steady"])
-def test_variant_reward_switches_are_rejected_by_name(tmp_path, key):
-    # variant_setup sets these for every variant, so a file value would be lost
+@pytest.mark.parametrize("section, key, value, reason", [
+    # run_cell and evaluate overwrite these, so a file value would never apply
+    ("env", "width_target", "400", r"\[experiment\] scenarios"),
+    ("env", "thickness_target", "2.5", r"\[experiment\] scenarios"),
+    ("env", "max_steps", "40", r"\[experiment\] steps_options"),
+    ("plant", "aux", "foo, bar", "auxiliary channel specs"),
+])
+def test_keys_a_file_cannot_set_are_rejected_by_name(tmp_path, section, key, value, reason):
     path = tmp_path / "cfg.ini"
-    path.write_text(f"[reward]\n{key} = false\n")
-    with pytest.raises(ValueError, match=rf"\[reward\]: '{key}'.*reward-1"):
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"\[{section}\]: '{key}' cannot be set.*{reason}"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("reward", "weights", "1, 2, 3", "weights must hold 2 values"),
+    ("reward", "weights", "1", "weights must hold 2 values"),
+    ("forecaster", "batch_size", "0", "batch_size must be >= 1"),
+    ("forecaster", "epochs", "0", "epochs must be >= 1"),
+])
+def test_values_that_would_fail_later_are_rejected(tmp_path, section, key, value, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"\[{section}\].*{message}"):
         load_config(str(path))
 
 
@@ -169,16 +192,45 @@ def test_uniform_clip_variants():
     assert shared
 
 
+def reward_coefs(r):
+    return (r.error_coef, r.progress_coef, r.action_penalty_coef, r.steady_coef)
+
+
 def test_reward_variant_switches():
+    # a file's coefficients reach every term a variant keeps
     cfg = AppConfig()
-    _, _, r1 = variant_setup("reward-1", cfg.agent, cfg.reward)
-    assert (r1.use_progress, r1.use_action_penalty, r1.use_steady) == (False, False, False)
-    _, _, r2 = variant_setup("reward-2", cfg.agent, cfg.reward)
-    assert (r2.use_progress, r2.use_action_penalty, r2.use_steady) == (True, False, False)
-    _, _, r3 = variant_setup("reward-3", cfg.agent, cfg.reward)
-    assert (r3.use_progress, r3.use_action_penalty, r3.use_steady) == (True, True, False)
-    _, _, r4 = variant_setup("reward-4", cfg.agent, cfg.reward)
-    assert (r4.use_progress, r4.use_action_penalty, r4.use_steady) == (True, True, True)
+    given = replace(cfg.reward, error_coef=3.0, progress_coef=0.4, action_penalty_coef=0.1,
+                    steady_coef=0.6, steady_threshold=0.8)
+    for n, name in enumerate(("reward-1", "reward-2", "reward-3", "reward-4"), start=1):
+        _, _, r = variant_setup(name, cfg.agent, given)
+        assert reward_coefs(r) == reward_coefs(given)[:n] + (0.0,) * (4 - n)
+        assert replace(r, progress_coef=0.4, action_penalty_coef=0.1, steady_coef=0.6) == given
+    for name in ("mpd-ppo", "ppo-single-net", "ppo-multibranch-uniform-clip",
+                 "mpd-ppo-uniform-clip"):
+        assert variant_setup(name, cfg.agent, given)[2] is given
+
+
+def test_reward_variant_step_sums_only_its_terms():
+    # seed 36 starts where one knife step toward the width target earns all four
+    # width terms, so a term the variant drops would show in the total
+    def first_step(reward_cfg):
+        env = FilmLineEnv(LinearBackend(), EpisodeConfig(max_steps=5), reward_cfg, seed=36)
+        env.reset()
+        width, thickness = env.objectives
+        action = np.array([-np.sign(width.signed), -0.5 * np.sign(thickness.signed),
+                           -0.5 * np.sign(thickness.signed)])
+        _, reward, _, info = env.step(action)
+        return reward, info["components"]
+
+    default = RewardConfig()
+    _, comps = first_step(default)
+    assert all(term != 0.0 for term in comps["width"])
+    cfg = AppConfig()
+    for n, name in enumerate(("reward-1", "reward-2", "reward-3", "reward-4"), start=1):
+        reward, _ = first_step(variant_setup(name, cfg.agent, default)[2])
+        expected = sum(w * sum(comps[obj][:n])
+                       for w, obj in zip(default.weights, ("width", "thickness")))
+        assert reward == pytest.approx(expected, abs=1e-12), name
 
 
 def test_stable_seed_is_deterministic():
