@@ -51,6 +51,15 @@ class UpdateConfig:
             raise ValueError("update: epochs and minibatch must be >= 1")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("update: gae_lambda must be in [0, 1]")
+        # otherwise an update climbs its loss (lr, grad_clip or a weight < 0) or stalls (0)
+        for name in ("lr", "grad_clip"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"update: {name} must be > 0")
+        for name in ("value_coef", "entropy_coef"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"update: {name} must be >= 0")
+        if not self.trunk_sizes or min(self.trunk_sizes) < 1:
+            raise ValueError("update: trunk_sizes must hold one or more sizes, each >= 1")
 
 
 # ----------------------------------------------------------------------

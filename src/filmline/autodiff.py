@@ -82,14 +82,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -98,21 +92,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return sum_(self, axis=axis)
-
-    def mean(self, axis=None):
-        return mean_(self, axis=axis)
 
 
 def _as_tensor(x) -> Tensor:
@@ -199,10 +178,6 @@ def div(x: Tensor, y: Tensor) -> Tensor:
         return gx, gy
 
     return _make(out, "div", (x, y), bw)
-
-
-def neg(x: Tensor) -> Tensor:
-    return _make(-x.data, "neg", (x,), lambda g: (-g,))
 
 
 def scale(x: Tensor, c: float) -> Tensor:

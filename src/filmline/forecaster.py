@@ -46,6 +46,8 @@ class ForecasterConfig:
     def __post_init__(self):
         if self.window < self.conv_kernel:
             raise ValueError("forecaster: window must be >= conv_kernel")
+        if self.lr <= 0:
+            raise ValueError("forecaster: lr must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("forecaster: dropout must be in [0, 1)")
         for name in ("batch_size", "epochs"):
@@ -161,9 +163,7 @@ class LstnetParams:
         for prefix, cell in (("lstm", self.lstm), ("gru", self.gru)):
             for f in fields(cell):
                 named[f"{prefix}.{f.name}"] = getattr(cell, f.name)
-        named.update({"fusion.w": self.fusion.w, "fusion.b": self.fusion.b,
-                      "out.w": self.out.w, "out.b": self.out.b})
-        return named
+        return {**named, **self.fusion.named("fusion"), **self.out.named("out")}
 
     def snapshot(self) -> list[np.ndarray]:
         return [t.data.copy() for t in self.tensors()]

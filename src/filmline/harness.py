@@ -72,6 +72,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.seeds < 1 or self.episodes < 1 or self.eval_episodes < 1:
             raise ValueError("experiment: seeds, episodes and eval_episodes must be >= 1")
+        for name in ("scenarios", "steps_options", "variants"):
+            if not getattr(self, name):
+                raise ValueError(f"experiment: {name} must not be empty")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"experiment: unknown variant {v!r}; choose from {VARIANTS}")
@@ -95,35 +98,23 @@ class AppConfig:
 # ----------------------------------------------------------------------
 
 def _coerce(section: str, key: str, text: str, example):
-    text = text.strip()
+    """Parse one INI value by the type of the field's current value ``example``.
+
+    Numbers parse by their type; a list or tuple parses element by element by
+    the type of its first element, and a list of scenario pairs through
+    ``parse_scenario``.
+    """
     try:
-        if isinstance(example, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {text!r}")
-        if isinstance(example, int):
-            return int(text)
-        if isinstance(example, float):
-            return float(text)
-        if isinstance(example, (tuple, list)):
-            inner = text.strip("[]() ")
-            items = [p.strip() for p in inner.split(",") if p.strip()]
-            elem = example[0] if len(example) else 0.0
-            if isinstance(elem, (list, tuple)) or "/" in text:
-                return [parse_scenario(p) for p in items]
-            if isinstance(elem, int):
-                vals = [int(p) for p in items]
-            elif isinstance(elem, float):
-                vals = [float(p) for p in items]
-            else:
-                vals = items
-            return type(example)(vals) if isinstance(example, tuple) else vals
-        return text
+        if isinstance(example, (list, tuple)) and example:
+            items = [p.strip() for p in text.strip().strip("[]() ").split(",") if p.strip()]
+            parse = parse_scenario if isinstance(example[0], list) else type(example[0])
+            return type(example)(parse(p) for p in items)
+        if type(example) in (int, float):
+            return type(example)(text)
     except ValueError as exc:
         raise ValueError(f"config [{section}] {key}: {exc}") from None
+    raise TypeError(f"config [{section}] {key}: no parser for a "
+                    f"{type(example).__name__} field")
 
 
 def parse_scenario(text: str):
@@ -188,27 +179,18 @@ def load_config(path: str | None = None) -> AppConfig:
     parser = ConfigParser()
     parser.optionxform = str  # keep key case
     parser.read(path)
-    known_sections = {"plant", "forecaster", "env", "reward", "agent", "experiment"}
+    sections = {f.name for f in dataclasses.fields(AppConfig)}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in sections:
             raise ValueError(f"config: unknown section [{section}]")
         items = dict(parser.items(section))
         for key in items:
             if (section, key) in _REFUSED_KEYS:
                 raise ValueError(f"config [{section}]: {key!r} cannot be set in a file; "
                                  f"{_REFUSED_KEYS[section, key]}")
-        if section == "plant":
-            cfg.plant = _apply_section(section, items, cfg.plant)
-        elif section == "forecaster":
-            cfg.forecaster = _apply_section(section, items, cfg.forecaster)
-        elif section == "env":
-            cfg.env = _apply_section(section, items, cfg.env)
-        elif section == "reward":
-            cfg.reward = _apply_section(section, items, cfg.reward)
-        elif section == "agent":
-            cfg.agent = _apply_agent_section(items, cfg.agent)
-        elif section == "experiment":
-            cfg.experiment = _apply_section(section, items, cfg.experiment)
+        current = getattr(cfg, section)
+        setattr(cfg, section, _apply_agent_section(items, current) if section == "agent"
+                else _apply_section(section, items, current))
     return cfg
 
 
@@ -320,6 +302,11 @@ class RunRecord:
     traceback: str = ""
 
 
+# what record.json holds: every field but the two that have CSV files of their own
+RECORD_JSON_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord)
+                           if f.name not in ("curve", "first_eval_trace"))
+
+
 def scenario_tag(scenario) -> str:
     return f"w{scenario[0]:g}_t{scenario[1]:g}"
 
@@ -404,13 +391,7 @@ def persist_record(out_dir: str, record: RunRecord, agent: MultiPathPpoAgent | N
                "width_r_error", "width_r_progress", "width_p_action", "width_r_steady",
                "thickness_r_error", "thickness_r_progress", "thickness_p_action",
                "thickness_r_steady", "done"], trace_rows)
-    meta = {
-        "variant": record.variant, "scenario": list(record.scenario),
-        "steps_per_episode": record.steps_per_episode, "seed": record.seed,
-        "average_optimize_step": record.average_optimize_step,
-        "eval_steps": record.eval_steps, "wall_time": record.wall_time,
-        "failed": record.failed, "error": record.error, "traceback": record.traceback,
-    }
+    meta = {name: getattr(record, name) for name in RECORD_JSON_FIELDS}
     with open(os.path.join(d, "record.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     if agent is not None:
@@ -437,14 +418,8 @@ def load_records(out_dir: str) -> list[RunRecord]:
                     trace.append({"step": int(row["step"]),
                                   "width": float(row["width"]),
                                   "thickness": float(row["thickness"])})
-        records.append(RunRecord(
-            variant=meta["variant"], scenario=tuple(meta["scenario"]),
-            steps_per_episode=meta["steps_per_episode"], seed=meta["seed"],
-            average_optimize_step=meta["average_optimize_step"],
-            eval_steps=meta["eval_steps"], curve=[], first_eval_trace=trace,
-            wall_time=meta["wall_time"], failed=meta["failed"],
-            error=meta.get("error", ""), traceback=meta.get("traceback", ""),
-        ))
+        meta["scenario"] = tuple(meta["scenario"])
+        records.append(RunRecord(**meta, curve=[], first_eval_trace=trace))
     return records
 
 
@@ -452,11 +427,9 @@ def load_records(out_dir: str) -> list[RunRecord]:
 # the grid and the ablations
 # ----------------------------------------------------------------------
 
-def run_grid(cfg: AppConfig, out_dir: str, models=None, variants=None, scenarios=None,
+def run_grid(cfg: AppConfig, out_dir: str, models, variants=None, scenarios=None,
              steps_options=None, seeds=None, verbose: bool = True) -> list[RunRecord]:
     plan = cfg.experiment
-    if models is None:
-        models = train_or_load_forecasters(cfg, out_dir)
     variants = variants or plan.variants
     scenarios = scenarios or plan.scenarios
     steps_options = steps_options or plan.steps_options
@@ -478,7 +451,7 @@ def run_grid(cfg: AppConfig, out_dir: str, models=None, variants=None, scenarios
     return records
 
 
-def run_ablations(cfg: AppConfig, out_dir: str, models=None):
+def run_ablations(cfg: AppConfig, out_dir: str, models):
     """Every variant at 100 steps on the representative 480 mm / 3.0 mm scenario."""
     return run_grid(cfg, out_dir, models=models, variants=list(VARIANTS),
                     scenarios=[list(ABLATION_SCENARIO)], steps_options=[100])

@@ -42,6 +42,9 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return bias_add(matmul(x, self.w), self.b)
 
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
+
 
 class Mlp:
     """Stack of Dense layers with tanh between them and a linear final layer."""
@@ -60,6 +63,13 @@ class Mlp:
             if i < len(self.layers) - 1 or final_tanh:
                 x = tanh(x)
         return x
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        """``{prefix}.{i}.w`` and ``{prefix}.{i}.b`` for each layer, in layer order."""
+        named = {}
+        for i, layer in enumerate(self.layers):
+            named.update(layer.named(f"{prefix}.{i}"))
+        return named
 
 
 @dataclass
@@ -85,6 +95,18 @@ class BranchSpec:
             raise ValueError(f"branch {self.name}: loss_weight must be >= 0")
         if self.init_sigma <= 0.0:
             raise ValueError(f"branch {self.name}: init_sigma must be > 0")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError(f"branch {self.name}: hidden_sizes must each be >= 1")
+
+
+def _state_batch(states, state_dim: int, who: str) -> np.ndarray:
+    """One state or a batch of them as a checked [B, state_dim] float64 array."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim == 1:
+        states = states[None]
+    if states.shape[1] != state_dim:
+        raise ValueError(f"{who}: state dim {states.shape[1]} != configured {state_dim}")
+    return states
 
 
 def validate_branches(branches: list[BranchSpec]):
@@ -115,12 +137,7 @@ class PolicyNetwork:
 
     def forward(self, states: np.ndarray):
         """Per-branch (mean Tensor [B, dims], std Tensor [dims]) for a state batch."""
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim == 1:
-            states = states[None]
-        if states.shape[1] != self.state_dim:
-            raise ValueError(
-                f"policy_forward: state dim {states.shape[1]} != configured {self.state_dim}")
+        states = _state_batch(states, self.state_dim, "policy_forward")
         feat = self.trunk(Tensor(states), final_tanh=True)
         out = []
         for head, log_std in zip(self.heads, self.log_stds):
@@ -132,15 +149,10 @@ class PolicyNetwork:
         return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict[str, Tensor]:
-        named = {}
-        for i, layer in enumerate(self.trunk.layers):
-            named[f"trunk.{i}.w"] = layer.w
-            named[f"trunk.{i}.b"] = layer.b
-        for bi, (branch, head) in enumerate(zip(self.branches, self.heads)):
-            for i, layer in enumerate(head.layers):
-                named[f"head.{branch.name}.{i}.w"] = layer.w
-                named[f"head.{branch.name}.{i}.b"] = layer.b
-            named[f"log_std.{branch.name}"] = self.log_stds[bi]
+        named = self.trunk.named("trunk")
+        for branch, head, log_std in zip(self.branches, self.heads, self.log_stds):
+            named.update(head.named(f"head.{branch.name}"))
+            named[f"log_std.{branch.name}"] = log_std
         return named
 
 
@@ -157,12 +169,7 @@ class CriticNetwork:
         self.heads = [Dense(trunk_sizes[-1], 1, rng, gain=1.0) for _ in range(n_heads)]
 
     def forward(self, states: np.ndarray) -> list[Tensor]:
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim == 1:
-            states = states[None]
-        if states.shape[1] != self.state_dim:
-            raise ValueError(
-                f"critic_forward: state dim {states.shape[1]} != configured {self.state_dim}")
+        states = _state_batch(states, self.state_dim, "critic_forward")
         feat = self.trunk(Tensor(states), final_tanh=True)
         return [head(feat) for head in self.heads]
 
@@ -176,13 +183,9 @@ class CriticNetwork:
         return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict[str, Tensor]:
-        named = {}
-        for i, layer in enumerate(self.trunk.layers):
-            named[f"vtrunk.{i}.w"] = layer.w
-            named[f"vtrunk.{i}.b"] = layer.b
+        named = self.trunk.named("vtrunk")
         for hi, head in enumerate(self.heads):
-            named[f"vhead.{hi}.w"] = head.w
-            named[f"vhead.{hi}.b"] = head.b
+            named.update(head.named(f"vhead.{hi}"))
         return named
 
 

@@ -211,7 +211,8 @@ def test_ratio_is_one_right_after_collection():
 
 def test_update_with_zero_lr_is_a_no_op():
     env = stub_env(seed=21)
-    agent = make_agent(seed=2, cfg=UpdateConfig(lr=0.0, epochs=1))
+    agent = make_agent(seed=2, cfg=UpdateConfig(epochs=1))
+    agent.opt.lr = 0.0  # UpdateConfig refuses lr <= 0
     episode = collect(env, agent)
     before = [p.data.copy() for p in agent.params]
     agent.update(*episode)

@@ -307,6 +307,11 @@ def test_model_save_load_roundtrip(tmp_path, micro_models):
     width, _, _ = micro_models
     path = tmp_path / "width.npz"
     width.save(path)
+    with np.load(path) as data:  # the layout README describes, in this order
+        assert data.files == [f"param:{k}" for k in (
+            "conv_k", "conv_b", "ln_gain", "ln_bias", "lstm.wx", "lstm.wh", "lstm.b",
+            "gru.wx", "gru.wh", "gru.b", "gru.w_hn", "gru.b_n",
+            "fusion.w", "fusion.b", "out.w", "out.b")] + ["norm_mean", "norm_std", "meta"]
     loaded = LstnetModel.load(path, width.cfg)
     window = np.random.default_rng(11).normal(400, 5,
                                               size=(width.cfg.window,

@@ -1,5 +1,6 @@
 """Configuration loading, variants, grid cells and output emission."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from filmline import cli
+from filmline.agent import MultiPathPpoAgent
 from filmline.environment import EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
 from filmline.harness import (
-    ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord, VARIANTS,
-    aggregate_records, cell_dir, emit_outputs, load_config, load_records, mean_step_of,
-    run_cell, run_grid, scenario_tag, stable_seed, train_or_load_forecasters,
+    _BRANCH_KEYS, _REFUSED_KEYS, ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord,
+    VARIANTS, _coerce, aggregate_records, cell_dir, emit_outputs, load_config, load_records,
+    mean_step_of, run_cell, run_grid, scenario_tag, stable_seed, train_or_load_forecasters,
     variant_setup, write_csv,
 )
 from filmline.svgplot import LinePlot
@@ -110,12 +112,73 @@ def test_keys_a_file_cannot_set_are_rejected_by_name(tmp_path, section, key, val
     ("reward", "weights", "1", "weights must hold 2 values"),
     ("forecaster", "batch_size", "0", "batch_size must be >= 1"),
     ("forecaster", "epochs", "0", "epochs must be >= 1"),
+    # each of these makes training climb its loss or zeroes every update
+    ("forecaster", "lr", "0", "lr must be > 0"),
+    ("forecaster", "lr", "-0.5", "lr must be > 0"),
+    ("agent", "lr", "-1", "lr must be > 0"),
+    ("agent", "grad_clip", "-0.5", "grad_clip must be > 0"),
+    ("agent", "grad_clip", "0", "grad_clip must be > 0"),
+    ("agent", "value_coef", "-1", "value_coef must be >= 0"),
+    ("agent", "entropy_coef", "-0.01", "entropy_coef must be >= 0"),
+    # empty lists would fail late: after the forecaster pair, or as a bare IndexError
+    ("agent", "trunk_sizes", "", "trunk_sizes must hold one or more sizes"),
+    # a 0-wide layer passes nothing on, so the policy ignores the state
+    ("agent", "trunk_sizes", "0, 64", "trunk_sizes must hold one or more sizes, each >= 1"),
+    ("agent", "width.hidden_sizes", "-3", "hidden_sizes must each be >= 1"),
+    ("experiment", "scenarios", "", "scenarios must not be empty"),
+    ("experiment", "steps_options", "", "steps_options must not be empty"),
+    ("experiment", "variants", "", "variants must not be empty"),
 ])
 def test_values_that_would_fail_later_are_rejected(tmp_path, section, key, value, message):
     path = tmp_path / "cfg.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ValueError, match=rf"\[{section}\].*{message}"):
         load_config(str(path))
+
+
+def test_empty_hidden_sizes_gives_a_one_layer_head(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[agent]\nwidth.hidden_sizes =\n")
+    cfg = load_config(str(path))
+    assert cfg.agent.width.hidden_sizes == []
+    agent = MultiPathPpoAgent(cfg.env.state_dim, [cfg.agent.width, cfg.agent.thickness],
+                              cfg.agent.update, seed=0)
+    assert len(agent.policy.heads[0].layers) == 1
+
+
+def ini_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ", ".join(f"{v[0]!r}/{v[1]!r}" if isinstance(v, list) else str(v)
+                         for v in value)
+    return str(value)
+
+
+def test_every_default_written_to_a_file_loads_back_unchanged(tmp_path):
+    ref = AppConfig()
+    lines = []
+    for section in dataclasses.fields(AppConfig):
+        obj = getattr(ref, section.name)
+        if section.name == "agent":
+            items = {f.name: getattr(obj.update, f.name) for f in dataclasses.fields(obj.update)}
+            for branch in ("width", "thickness"):
+                items.update({f"{branch}.{k}": getattr(getattr(obj, branch), k)
+                              for k in _BRANCH_KEYS})
+        else:
+            items = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                     if (section.name, f.name) not in _REFUSED_KEYS}
+        lines.append(f"[{section.name}]")
+        lines += [f"{key} = {ini_value(value)}" for key, value in items.items()]
+    path = tmp_path / "defaults.ini"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_config(str(path))
+    assert loaded == ref
+    assert repr(loaded) == repr(ref)  # same types too: ints, tuples and lists
+
+
+@pytest.mark.parametrize("example", [True, "text"])
+def test_a_field_type_with_no_parser_is_a_type_error_naming_the_key(example):
+    with pytest.raises(TypeError, match=r"\[agent\] flag"):
+        _coerce("agent", "flag", "true", example)
 
 
 def test_unknown_section_is_rejected(tmp_path):
@@ -362,6 +425,36 @@ def test_cli_evaluates_a_run_cell_checkpoint_on_the_true_plant(tmp_path, tiny_ap
     out = capsys.readouterr().out
     assert "greedy evaluation on the true plant" in out
     assert out.count("  episode ") == 2
+
+
+def test_cli_verbs_from_forecaster_to_tables(tmp_path, micro_models, capsys):
+    out = tmp_path / "out"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[forecaster]\nwindow = 12\nconv_kernel = 3\nconv_channels = 4\n"
+                   "lstm_hidden = 4\nskip_hidden = 2\nskip_period = 2\nfusion_hidden = 4\n"
+                   "batch_size = 256\nepochs = 1\n"
+                   "[experiment]\ndataset_steps = 1000\n")
+    cli.main(["train-forecaster", "--config", str(ini), "--out-dir", str(out)])
+    metrics = (out / "forecaster" / "metrics.csv").read_text().splitlines()
+    assert len(metrics) == 1 + 4  # header, then lstnet and linreg for each target
+
+    # the grid verbs run on the session's trained pair, stored under a matching config
+    width, thickness, scenario = micro_models
+    width.save(out / "forecaster" / "width.npz")
+    thickness.save(out / "forecaster" / "thickness.npz")
+    forecaster = "".join(f"{k} = {v}\n" for k, v in vars(width.cfg).items())
+    tag = f"{scenario[0]:g}/{scenario[1]:g}"
+    ini.write_text(f"[forecaster]\n{forecaster}[experiment]\nscenarios = {tag}\n"
+                   "steps_options = 12\nseeds = 1\nepisodes = 2\neval_episodes = 1\n")
+    common = ["--config", str(ini), "--out-dir", str(out)]
+    cli.main(["train-agent", *common, "--scenario", tag, "--steps", "12"])
+    cli.main(["run-grid", *common])
+    assert "grid complete: 1 runs" in capsys.readouterr().out
+    table = out / "aggregate" / "tableV.csv"
+    grid_bytes = table.read_bytes()
+    table.unlink()
+    cli.main(["emit-plots", *common])
+    assert table.read_bytes() == grid_bytes
 
 
 def test_python_dash_m_filmline_runs_the_cli_from_a_checkout():

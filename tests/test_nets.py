@@ -269,6 +269,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(ckpt.arrays["extra"], np.arange(3.0))
 
 
+def test_parameter_names_and_order_are_the_checkpoint_layout():
+    # checkpoint keys, Adam's slot order and clip_grad_norm's summation order follow these
+    rng = np.random.default_rng(0)
+    policy = PolicyNetwork(4, two_branches(), rng, trunk_sizes=[6, 6])
+    head = [f"{i}.{p}" for i in range(2) for p in "wb"]
+    assert list(policy.named_tensors()) == (
+        ["trunk.0.w", "trunk.0.b", "trunk.1.w", "trunk.1.b"]
+        + [f"head.width.{k}" for k in head] + ["log_std.width"]
+        + [f"head.thickness.{k}" for k in head] + ["log_std.thickness"])
+    critic = CriticNetwork(4, 2, rng, trunk_sizes=[6])
+    assert list(critic.named_tensors()) == [
+        "vtrunk.0.w", "vtrunk.0.b", "vhead.0.w", "vhead.0.b", "vhead.1.w", "vhead.1.b"]
+
+
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     net = PolicyNetwork(4, two_branches(), np.random.default_rng(9))
     path = tmp_path / "p.npz"
