@@ -51,8 +51,8 @@ class UpdateConfig:
             raise ValueError("update: epochs and minibatch must be >= 1")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("update: gae_lambda must be in [0, 1]")
-        # otherwise an update climbs its loss (lr, grad_clip or a weight < 0) or stalls (0)
-        for name in ("lr", "grad_clip"):
+        # else an update climbs its loss (a value < 0), stalls (0) or is NaN (adv_eps 0)
+        for name in ("lr", "grad_clip", "adv_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"update: {name} must be > 0")
         for name in ("value_coef", "entropy_coef"):
@@ -312,15 +312,9 @@ def train_agent(env, agent: MultiPathPpoAgent, episodes: int, steps_per_episode:
                          f"env.episode.max_steps {env.episode.max_steps}")
     curve = []
     for ep in range(episodes):
-        actions = []
-
-        def policy(state):
-            actions.append(agent.act(state))
-            return actions[-1]
-
-        (rec,) = run_episodes(env, policy, 1)
+        (rec,) = run_episodes(env, agent.act, 1)
         states = rec["states"]
-        up_stats = agent.update(states[:-1], states[-1], np.stack(actions), rec["rewards"])
+        up_stats = agent.update(states[:-1], states[-1], rec["actions"], rec["rewards"])
         curve.append({
             "episode": ep,
             "total_reward": rec["total_reward"],

@@ -13,7 +13,7 @@ configured weights and clipped to a fixed range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .plant import PlantParams, PlantState, check_actuator_bounds, plant_step, s
 
 WIDTH_TOLERANCE = 1.0       # mm
 THICKNESS_TOLERANCE = 0.05  # mm
+# each quality objective: name, tolerance, and its set-points of (knife, DS gap, OS gap)
+OBJECTIVES = (("width", WIDTH_TOLERANCE, slice(0, 1)),
+              ("thickness", THICKNESS_TOLERANCE, slice(1, 3)))
 
 
 @dataclass
@@ -77,6 +80,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("episode: max_steps must be >= 1")
+        if self.history < 0:
+            raise ValueError("episode: history must be >= 0")
         if self.knife_scale <= 0 or self.gap_scale <= 0:
             raise ValueError("episode: action scales must be > 0")
         check_actuator_bounds("episode", self)
@@ -102,6 +107,7 @@ class ObjectiveState:
     setpoints: np.ndarray   # current control values (mm) of this objective's actuators
     prev_setpoints: np.ndarray
     action_scales: np.ndarray  # mm per unit action, one per actuator
+    history: list = field(default_factory=list)  # previous signed errors, newest first
 
     @property
     def signed(self) -> float:
@@ -153,11 +159,11 @@ class ForecastBackend:
         self.width_model = width_model
         self.thickness_model = thickness_model
         names = width_model.norm.feature_names
-        self._idx = {n: i for i, n in enumerate(names)}
-        for required in plant_mod.CONTROL_NAMES + plant_mod.QUALITY_NAMES:
-            if required not in self._idx:
+        columns = plant_mod.CONTROL_NAMES + plant_mod.QUALITY_NAMES  # knife, DS, OS, w, h
+        for required in columns:
+            if required not in names:
                 raise ValueError(f"forecaster schema is missing column {required!r}")
-        self._n_features = len(names)
+        self._cols = [names.index(n) for n in columns]
         # predictions are written back into the window as-is; the periodic
         # gauge component is keyed to the (frozen) roll-angle channel rather
         # than the reading history, so the loop does not re-excite itself.
@@ -168,11 +174,7 @@ class ForecastBackend:
 
     def _new_row(self, knife, ds, os_):
         row = self.width_model.norm.mean.copy()  # aux channels sit at training means
-        row[self._idx["knife_spacing"]] = knife
-        row[self._idx["ds_gap"]] = ds
-        row[self._idx["os_gap"]] = os_
-        row[self._idx["width"]] = self._w
-        row[self._idx["thickness"]] = self._h
+        row[self._cols] = knife, ds, os_, self._w, self._h
         return row
 
     RAMP_RATE_KNIFE = 2.0  # mm per wash step, matching controller-scale moves
@@ -187,12 +189,7 @@ class ForecastBackend:
         forecaster was trained on, and the window is refreshed afterwards.
         """
         t = self.width_model.cfg.window
-        mean = self.width_model.norm.mean
-        self._w = float(mean[self._idx["width"]])
-        self._h = float(mean[self._idx["thickness"]])
-        k0 = float(mean[self._idx["knife_spacing"]])
-        d0 = float(mean[self._idx["ds_gap"]])
-        o0 = float(mean[self._idx["os_gap"]])
+        k0, d0, o0, self._w, self._h = self.width_model.norm.mean[self._cols].tolist()
         base = self._new_row(k0, d0, o0)
         self._window = np.tile(base, (t, 1))
         ramp = max(1, int(np.ceil(max(
@@ -249,10 +246,7 @@ class PlantBackend:
         self._state = steady_state(self.params, knife, ds, os_)
         return self._state.width, self._state.thickness
 
-    def settle(self, knife: float, ds: float, os_: float):
-        """The steady-state (width, thickness) at these set-points."""
-        state = steady_state(self.params, knife, ds, os_)
-        return state.width, state.thickness
+    settle = reset  # the steady (width, thickness); closed form, so no memo is needed
 
     def step(self, knife: float, ds: float, os_: float):
         self._state = replace(self._state, knife=knife, ds_gap=ds, os_gap=os_)
@@ -279,10 +273,13 @@ class FilmLineEnv:
         self.episode = episode
         self.reward_cfg = reward
         self._rng = np.random.default_rng(seed)
+        # per set-point (knife, DS gap, OS gap): mm per unit action, low and high bound
+        self._scales = np.array([episode.knife_scale, episode.gap_scale, episode.gap_scale])
+        self._lo, self._hi = np.array([episode.knife_bounds, episode.gap_bounds,
+                                       episode.gap_bounds]).T
         self._probe_response()
         self._check_targets()
         self._objectives: list[ObjectiveState] = []
-        self._history: dict[str, list[float]] = {}
         self._setpoints = np.zeros(3)
         self._steps = 0
 
@@ -327,21 +324,15 @@ class FilmLineEnv:
         for k in (k_lo, k_hi):
             w, _ = self.backend.settle(k, g_star, g_star)
             widths.append(w)
-        self._width_span = (min(widths), max(widths))
-        self._thickness_span = (min(heights), max(heights))
+        # reachable (low, high) reading of each objective, in OBJECTIVES order
+        self._spans = ((min(widths), max(widths)), (min(heights), max(heights)))
 
     def _check_targets(self):
-        ep = self.episode
-        w_lo, w_hi = self._width_span
-        h_lo, h_hi = self._thickness_span
-        if not w_lo + WIDTH_TOLERANCE <= ep.width_target <= w_hi - WIDTH_TOLERANCE:
-            raise ValueError(
-                f"width target {ep.width_target} outside reachable range "
-                f"[{w_lo:.1f}, {w_hi:.1f}]")
-        if not h_lo + THICKNESS_TOLERANCE <= ep.thickness_target <= h_hi - THICKNESS_TOLERANCE:
-            raise ValueError(
-                f"thickness target {ep.thickness_target} outside reachable range "
-                f"[{h_lo:.2f}, {h_hi:.2f}]")
+        for (name, tolerance, _), (lo, hi) in zip(OBJECTIVES, self._spans):
+            target = getattr(self.episode, f"{name}_target")
+            if not lo + tolerance <= target <= hi - tolerance:
+                raise ValueError(f"{name} target {target} outside reachable range "
+                                 f"[{lo:.2f}, {hi:.2f}]")
 
     # -- episode API ------------------------------------------------------
     def reset(self) -> np.ndarray:
@@ -358,21 +349,23 @@ class FilmLineEnv:
             raise RuntimeError("could not sample an initial state away from the targets")
 
         self._setpoints = np.array([knife, ds, os_])
-        self._objectives = [
-            _fresh_objective("width", w0, ep.width_target, WIDTH_TOLERANCE,
-                             self._setpoints[:1], np.array([ep.knife_scale])),
-            _fresh_objective("thickness", h0, ep.thickness_target, THICKNESS_TOLERANCE,
-                             self._setpoints[1:], np.array([ep.gap_scale, ep.gap_scale])),
-        ]
-        self._history = {o.name: [o.signed] * ep.history for o in self._objectives}
+        self._objectives = []
+        for (name, tolerance, cols), value in zip(OBJECTIVES, (w0, h0)):
+            target = getattr(ep, f"{name}_target")
+            signed = (value - target) / tolerance
+            self._objectives.append(ObjectiveState(
+                name=name, value=value, target=target, tolerance=tolerance,
+                error=abs(signed), best_error=abs(signed), prev_signed=signed,
+                setpoints=self._setpoints[cols].copy(),
+                prev_setpoints=self._setpoints[cols].copy(),
+                action_scales=self._scales[cols], history=[signed] * ep.history))
         self._steps = 0
         return self._state_vector()
 
     def _sample_initial_setpoints(self):
         ep = self.episode
         rng = self._rng
-        w_lo, w_hi = self._width_span
-        h_lo, h_hi = self._thickness_span
+        (w_lo, w_hi), (h_lo, h_hi) = self._spans
 
         draw = rng.random()
         width_near = draw < 0.5 * ep.near_start_fraction
@@ -406,31 +399,26 @@ class FilmLineEnv:
         action = np.clip(action, -1.0, 1.0)
         ep = self.episode
 
-        old = self._setpoints.copy()
-        scales = np.array([ep.knife_scale, ep.gap_scale, ep.gap_scale])
-        bounds_lo = np.array([ep.knife_bounds[0], ep.gap_bounds[0], ep.gap_bounds[0]])
-        bounds_hi = np.array([ep.knife_bounds[1], ep.gap_bounds[1], ep.gap_bounds[1]])
-        new = np.clip(old + action * scales, bounds_lo, bounds_hi)
+        old = self._setpoints
+        new = np.clip(old + action * self._scales, self._lo, self._hi)
         self._setpoints = new
-        applied_units = (new - old) / scales  # actual unitless moves after bound clamping
+        applied_units = (new - old) / self._scales  # actual unitless moves after bound clamping
 
         w, h = self.backend.step(new[0], new[1], new[2])
         self._steps += 1
 
-        values = {"width": w, "thickness": h}
-        mm_slices = {"width": slice(0, 1), "thickness": slice(1, 3)}
         components = []
-        for obj in self._objectives:
+        for obj, value, (_, _, cols) in zip(self._objectives, (w, h), OBJECTIVES):
             prev_signed = obj.signed
-            obj.value = values[obj.name]
-            obj.prev_setpoints = old[mm_slices[obj.name]].copy()
-            obj.setpoints = new[mm_slices[obj.name]].copy()
+            obj.value = value
+            obj.prev_setpoints = old[cols].copy()
+            obj.setpoints = new[cols].copy()
             obj.error = abs(obj.signed)
             comp = reward_components(obj, self.reward_cfg)
             components.append(comp)
             obj.best_error = min(obj.best_error, obj.error)
             obj.prev_signed = prev_signed
-            self._history[obj.name] = ([prev_signed] + self._history[obj.name])[:ep.history]
+            obj.history = ([prev_signed] + obj.history)[:ep.history]
 
         reward = total_reward(components, self.reward_cfg)
         within = [o.error <= 1.0 for o in self._objectives]  # boundary qualifies
@@ -450,18 +438,13 @@ class FilmLineEnv:
     def _state_vector(self) -> np.ndarray:
         ep = self.episode
         feats = []
-        spans = {"width": self._width_span, "thickness": self._thickness_span}
-        for obj in self._objectives:
+        for obj, (lo, hi) in zip(self._objectives, self._spans):
             signed = obj.signed
-            lo, hi = spans[obj.name]
-            target_pos = (obj.target - lo) / (hi - lo)
             feats.append(_squash(signed))
             feats.append(float(np.tanh((signed - obj.prev_signed) / 2.0)))
-            feats.append(target_pos)
-            feats.extend(_squash(h) for h in self._history[obj.name])
-        lo = np.array([ep.knife_bounds[0], ep.gap_bounds[0], ep.gap_bounds[0]])
-        hi = np.array([ep.knife_bounds[1], ep.gap_bounds[1], ep.gap_bounds[1]])
-        feats.extend(((self._setpoints - lo) / (hi - lo)).tolist())
+            feats.append((obj.target - lo) / (hi - lo))
+            feats.extend(_squash(h) for h in obj.history)
+        feats.extend(((self._setpoints - self._lo) / (self._hi - self._lo)).tolist())
         state = np.asarray(feats, dtype=np.float64)
         if state.shape != (ep.state_dim,):
             raise RuntimeError(f"state vector has shape {state.shape}, "
@@ -471,18 +454,6 @@ class FilmLineEnv:
     @property
     def objectives(self) -> list[ObjectiveState]:
         return self._objectives
-
-
-def _fresh_objective(name, value, target, tolerance, setpoints, scales) -> ObjectiveState:
-    error = abs(value - target) / tolerance
-    setpoints = np.asarray(setpoints, dtype=np.float64).copy()
-    return ObjectiveState(
-        name=name, value=value, target=target, tolerance=tolerance,
-        error=error, best_error=error,
-        prev_signed=(value - target) / tolerance,
-        setpoints=setpoints, prev_setpoints=setpoints.copy(),
-        action_scales=np.asarray(scales, dtype=np.float64),
-    )
 
 
 def _affine_inverse(response: str, x_lo, x_hi, y_lo, y_hi):
@@ -519,36 +490,36 @@ def run_episodes(env: FilmLineEnv, policy, episodes: int):
     ``max_steps``, which is then its optimize step. Returns one record per
     episode with the total reward, the optimize step, the terminal errors,
     the visited ``states`` (one row per step plus the final successor), the
-    per-step ``rewards`` and the per-step ``info`` trace.
+    policy's ``actions`` and the ``rewards`` (one row per step each) and the
+    per-step ``info`` trace.
 
     This is the one loop that steps an environment: training collects
-    through it too, with a policy that keeps what it sampled.
+    through it too.
     """
     max_steps = env.episode.max_steps
     records = []
     for ep_i in range(episodes):
         state = env.reset()
         total = 0.0
-        optimize_step = max_steps
-        states, rewards, trace = [state], [], []
+        states, actions, rewards, trace = [state], [], [], []
         for _ in range(max_steps):
-            state, r, done, info = env.step(policy(state))
+            action = policy(state)
+            state, r, done, info = env.step(action)
             total += r
             states.append(state)
+            actions.append(action)
             rewards.append(r)
             trace.append(info)
-            if info["within_tolerance"]:
-                optimize_step = info["step"]
-                break
             if done:
                 break
         records.append({
             "episode": ep_i,
             "total_reward": total,
-            "optimize_step": optimize_step,
-            "width_err": trace[-1]["width_error_mm"],
-            "thickness_err": trace[-1]["thickness_error_mm"],
+            "optimize_step": info["step"] if info["within_tolerance"] else max_steps,
+            "width_err": info["width_error_mm"],
+            "thickness_err": info["thickness_error_mm"],
             "states": np.stack(states),
+            "actions": np.stack(actions),
             "rewards": np.array(rewards),
             "trace": trace,
         })

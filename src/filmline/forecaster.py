@@ -50,11 +50,11 @@ class ForecasterConfig:
             raise ValueError("forecaster: lr must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("forecaster: dropout must be in [0, 1)")
-        for name in ("batch_size", "epochs"):
+        # a 0-wide layer passes nothing on; pool_window divides in pooled_length
+        for name in ("conv_kernel", "conv_channels", "pool_window", "lstm_hidden",
+                     "skip_hidden", "skip_period", "fusion_hidden", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"forecaster: {name} must be >= 1")
-        if self.skip_period < 1:
-            raise ValueError("forecaster: skip_period must be >= 1")
         if self.skip_period >= self.pooled_length:
             raise ValueError(
                 f"forecaster: skip_period {self.skip_period} must be smaller than the "

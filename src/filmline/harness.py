@@ -23,10 +23,7 @@ import numpy as np
 from .agent import (
     MultiPathPpoAgent, UpdateConfig, default_branches, evaluate_greedy, train_agent,
 )
-from .environment import (
-    THICKNESS_TOLERANCE, WIDTH_TOLERANCE, EpisodeConfig, FilmLineEnv, ForecastBackend,
-    RewardConfig,
-)
+from .environment import OBJECTIVES, EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
 from .forecaster import (
     ForecasterConfig, LstnetModel, SeriesDataset, evaluate_forecaster,
     linreg_baseline, train_forecaster,
@@ -264,7 +261,7 @@ def train_or_load_forecasters(cfg: AppConfig, out_dir: str, dataset: SeriesDatas
     plan = cfg.experiment
     metrics_rows = []
     models = {}
-    for target, tolerance in (("width", WIDTH_TOLERANCE), ("thickness", THICKNESS_TOLERANCE)):
+    for target, tolerance, _ in OBJECTIVES:
         model, _ = train_forecaster(cfg.forecaster, dataset, target,
                                     seed=plan.forecaster_seed, verbose=verbose)
         m = evaluate_forecaster(model, dataset, tolerance)
@@ -554,8 +551,7 @@ def emit_outputs(records: list[RunRecord], out_dir: str):
             continue
         groups.setdefault((r.variant, r.scenario, r.steps_per_episode), []).append(r)
     for (variant, scenario, steps), group in sorted(groups.items()):
-        for quantity, target, tol in (("width", scenario[0], WIDTH_TOLERANCE),
-                                      ("thickness", scenario[1], THICKNESS_TOLERANCE)):
+        for (quantity, tol, _), target in zip(OBJECTIVES, scenario):
             trajs = [[info[quantity] for info in r.first_eval_trace] for r in group]
             longest = max(len(t) for t in trajs)
             padded = np.array([t + [t[-1]] * (longest - len(t)) for t in trajs])

@@ -102,6 +102,8 @@ class PlantParams:
                           ("meas_sigma_h", self.meas_sigma_h)):
             if sig < 0:
                 raise ValueError(f"plant: {name} must be >= 0")
+        if self.runout_period <= 0:
+            raise ValueError("plant: runout_period must be > 0")
         check_actuator_bounds("plant", self)
 
     def feature_names(self) -> list[str]:

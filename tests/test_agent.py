@@ -31,15 +31,9 @@ def make_agent(seed=0, cfg=None, branches=None, shared=False):
 
 def collect(env, agent):
     """One sampled episode as the arguments of ``agent.update``."""
-    actions = []
-
-    def policy(state):
-        actions.append(agent.act(state))
-        return actions[-1]
-
-    (rec,) = run_episodes(env, policy, 1)
+    (rec,) = run_episodes(env, agent.act, 1)
     states = rec["states"]
-    return states[:-1], states[-1], np.stack(actions), rec["rewards"]
+    return states[:-1], states[-1], rec["actions"], rec["rewards"]
 
 
 # ----------------------------------------------------------------------

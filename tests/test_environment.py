@@ -1,13 +1,14 @@
 """Reward closed forms and environment mechanics (against a stub backend)."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from filmline.environment import (
     EpisodeConfig, FilmLineEnv, ForecastBackend, ObjectiveState, PlantBackend, RewardConfig,
-    normalize_weights, oracle_eval, reward_components, total_reward,
+    normalize_weights, oracle_eval, reward_components, run_episodes, total_reward,
 )
 from filmline.plant import PlantParams, thickness_steady_state, width_steady_state
 
@@ -316,6 +317,31 @@ def test_oracle_eval_is_deterministic():
     assert a[0]["total_reward"] == b[0]["total_reward"]
 
 
+def test_step_before_reset_is_refused():
+    with pytest.raises(RuntimeError, match=r"step\(\) before reset\(\)"):
+        env_with_stub().step(np.zeros(3))
+
+
+def test_step_refuses_an_action_of_the_wrong_shape():
+    env = env_with_stub()
+    env.reset()
+    with pytest.raises(ValueError, match=r"action must have shape \(3,\), got \(2,\)"):
+        env.step(np.zeros(2))
+
+
+def test_run_episodes_records_the_policys_own_actions():
+    rng = np.random.default_rng(3)
+    given = []
+
+    def policy(state):
+        given.append(rng.uniform(-2.0, 2.0, 3))  # outside [-1, 1]: the env clips, not the record
+        return given[-1]
+
+    (rec,) = run_episodes(env_with_stub(max_steps=7), policy, 1)
+    assert rec["actions"].shape == (len(rec["rewards"]), 3)
+    np.testing.assert_array_equal(rec["actions"], np.stack(given))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_step_refuses_a_non_finite_action(bad):
     env = FilmLineEnv(PlantBackend(PlantParams()), EpisodeConfig(), RewardConfig(), seed=2)
@@ -348,6 +374,37 @@ def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
     with pytest.raises(ValueError, match="width forecaster predicted nan"):
         FilmLineEnv(backend, EpisodeConfig(width_target=scenario[0],
                                            thickness_target=scenario[1]), RewardConfig())
+
+
+def schema_stub(names, predict=None, window=3):
+    """A forecaster as ``ForecastBackend`` sees it: a schema, a window and ``predict``."""
+    norm = SimpleNamespace(feature_names=names, mean=np.arange(len(names), dtype=np.float64))
+    return SimpleNamespace(norm=norm, cfg=SimpleNamespace(window=window), predict=predict)
+
+
+def test_forecast_backend_refuses_models_that_disagree_on_the_schema():
+    names = PlantParams().feature_names()
+    with pytest.raises(ValueError, match="disagree on the feature schema"):
+        ForecastBackend(schema_stub(names), schema_stub(names[::-1]))
+
+
+@pytest.mark.parametrize("missing", ["ds_gap", "thickness"])
+def test_forecast_backend_refuses_a_schema_without_a_control_or_quality_column(missing):
+    names = [n for n in PlantParams().feature_names() if n != missing]
+    with pytest.raises(ValueError, match=f"schema is missing column '{missing}'"):
+        ForecastBackend(schema_stub(names), schema_stub(names))
+
+
+def test_forecast_backend_writes_set_points_into_their_named_columns():
+    names = PlantParams().feature_names()[::-1]  # the columns in an unusual order
+    col = {n: i for i, n in enumerate(names)}
+    # "forecasts": width echoes the knife column, thickness the DS plus OS gap columns
+    width = schema_stub(names, lambda window: window[-1, col["knife_spacing"]])
+    thickness = schema_stub(names, lambda window: window[-1, col["ds_gap"]]
+                            + window[-1, col["os_gap"]])
+    backend = ForecastBackend(width, thickness)
+    assert backend.reset(470.0, 2.5, 2.75) == (470.0, 5.25)
+    assert backend.step(471.0, 2.5, 2.5) == (471.0, 5.0)
 
 
 @pytest.mark.parametrize("flat", ["width", "thickness"])

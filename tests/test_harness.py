@@ -128,6 +128,17 @@ def test_keys_a_file_cannot_set_are_rejected_by_name(tmp_path, section, key, val
     ("experiment", "scenarios", "", "scenarios must not be empty"),
     ("experiment", "steps_options", "", "steps_options must not be empty"),
     ("experiment", "variants", "", "variants must not be empty"),
+    # a bare ZeroDivisionError, a silently degenerate model, or a numpy error while training
+    ("forecaster", "pool_window", "0", "pool_window must be >= 1"),
+    ("forecaster", "lstm_hidden", "0", "lstm_hidden must be >= 1"),
+    ("forecaster", "skip_hidden", "0", "skip_hidden must be >= 1"),
+    ("forecaster", "fusion_hidden", "0", "fusion_hidden must be >= 1"),
+    ("forecaster", "conv_channels", "0", "conv_channels must be >= 1"),
+    ("forecaster", "conv_kernel", "0", "conv_kernel must be >= 1"),
+    # the first reset, the first one-step episode, or the dataset would fail
+    ("env", "history", "-1", "history must be >= 0"),
+    ("agent", "adv_eps", "0", "adv_eps must be > 0"),
+    ("plant", "runout_period", "0", "runout_period must be > 0"),
 ])
 def test_values_that_would_fail_later_are_rejected(tmp_path, section, key, value, message):
     path = tmp_path / "cfg.ini"
@@ -413,17 +424,25 @@ def test_run_cell_persists_artifacts(tmp_path, tiny_app_config, micro_models):
     assert loaded[0].average_optimize_step == rec.average_optimize_step
 
 
+@pytest.mark.parametrize("flags, where", [(["--oracle"], "true plant"),
+                                          ([], "forecaster surrogate")],
+                         ids=["oracle", "surrogate"])
 def test_cli_evaluates_a_run_cell_checkpoint_on_the_true_plant(tmp_path, tiny_app_config,
-                                                              micro_models, capsys):
+                                                              micro_models, capsys, flags, where):
     width, thickness, scenario = micro_models
     rec = run_cell(tiny_app_config, (width, thickness), "mpd-ppo", scenario, 12, 0,
                    out_dir=str(tmp_path))
     assert not rec.failed, rec.error
-    cli.main(["evaluate", "--out-dir", str(tmp_path), "--scenario",
-              f"{scenario[0]:g}/{scenario[1]:g}", "--steps", "12", "--episodes", "2",
-              "--oracle"])
+    # without --oracle the surrogate is the stored pair, reloaded under a matching config
+    (tmp_path / "forecaster").mkdir()
+    width.save(tmp_path / "forecaster" / "width.npz")
+    thickness.save(tmp_path / "forecaster" / "thickness.npz")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[forecaster]\n" + "".join(f"{k} = {v}\n" for k, v in vars(width.cfg).items()))
+    cli.main(["evaluate", "--config", str(ini), "--out-dir", str(tmp_path), "--scenario",
+              f"{scenario[0]:g}/{scenario[1]:g}", "--steps", "12", "--episodes", "2", *flags])
     out = capsys.readouterr().out
-    assert "greedy evaluation on the true plant" in out
+    assert f"greedy evaluation on the {where}" in out
     assert out.count("  episode ") == 2
 
 
