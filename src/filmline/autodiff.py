@@ -11,6 +11,11 @@ it once in reverse, accumulating gradients into the leaf tensors.
 Broadcasting is deliberately restricted to scalar-vs-array and equal shapes;
 anything richer (bias rows, per-column scaling) goes through a dedicated
 primitive so gradient shapes stay unambiguous.
+
+The forecaster's primitives (``matmul``, ``concat``, ``conv1d``,
+``max_pool1d``, and the recurrent scans in ``cells``) also take leading lane
+axes, under ``no_grad`` only: each lane's products are slices of one stacked
+``np.matmul``, which gives every lane the bits of its own call.
 """
 
 from __future__ import annotations
@@ -119,6 +124,15 @@ def _binary_out_shape(a: np.ndarray, b: np.ndarray, op: str):
         f"{op}: unsupported broadcast between shapes {a.shape} and {b.shape}; "
         "only scalar-vs-array and equal shapes are allowed"
     )
+
+
+def _check_lanes(x: Tensor, rank: int, op: str):
+    """Refuse a rank below ``rank``, and lane axes before it while grad
+    recording is on: no backward rule reads lanes."""
+    if x.ndim < rank:
+        raise ValueError(f"{op}: input must be rank {rank}, got {x.shape}")
+    if x.ndim > rank and _GRAD_ENABLED[0]:
+        raise ValueError(f"{op}: lane input {x.shape} is forward-only; run it under no_grad")
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -280,9 +294,11 @@ def mean_(x: Tensor, axis=None) -> Tensor:
 # ----------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
+    """[..., n, m] @ [m, p]; lane axes of ``a`` stay batch axes of ``np.matmul``."""
+    if b.ndim != 2:
         raise ValueError(f"matmul: expects rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    _check_lanes(a, 2, "matmul")
+    if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
@@ -348,11 +364,14 @@ def slice_(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
 
 
 def concat(parts, axis: int = 0) -> Tensor:
-    """Concatenate rank-2 tensors along rows (axis 0) or columns (axis 1)."""
+    """Concatenate rank-2 tensors (after any lane axes) along rows (axis 0)
+    or columns (axis 1)."""
     parts = [_as_tensor(p) for p in parts]
     if axis not in (0, 1):
         raise ValueError("concat: axis must be 0 or 1")
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    for p in parts:
+        _check_lanes(p, 2, "concat")
+    out = np.concatenate([p.data for p in parts], axis=axis - 2)
     sizes = [p.shape[axis] for p in parts]
 
     def bw(g):
@@ -371,14 +390,13 @@ def concat(parts, axis: int = 0) -> Tensor:
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Valid (no padding) 1-d convolution over the time axis.
 
-    x is [batch, time, in_ch]; kernels is [k, in_ch, out_ch]. Output time
+    x is [..., batch, time, in_ch]; kernels is [k, in_ch, out_ch]. Output time
     length is T - k + 1.
     """
     if kernels.ndim != 3:
         raise ValueError(f"conv1d: kernels must be [k, in_ch, out_ch], got {kernels.shape}")
-    if x.ndim != 3:
-        raise ValueError(f"conv1d: input must be rank 3, got {x.shape}")
-    b_n, t_n, c_in = x.shape
+    _check_lanes(x, 3, "conv1d")
+    *lead, b_n, t_n, c_in = x.shape
     k, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ValueError(f"conv1d: kernel channels {kc_in} != input channels {c_in}")
@@ -386,11 +404,11 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError(f"conv1d: kernel length {k} exceeds input length {t_n}")
     t_out = t_n - k + 1
 
-    # im2col: windows [b, t_out, k, c_in] -> one matmul against [k*c_in, c_out]
-    cols = np.stack([x.data[:, j:j + t_out] for j in range(k)], axis=2)
-    cols = cols.reshape(b_n * t_out, k * c_in)
+    # im2col: windows [..., b, t_out, k, c_in] -> one matmul (per lane) against [k*c_in, c_out]
+    cols = np.stack([x.data[..., j:j + t_out, :] for j in range(k)], axis=-2)
+    cols = cols.reshape(*lead, b_n * t_out, k * c_in)
     kflat = kernels.data.reshape(k * c_in, c_out)
-    out = (cols @ kflat).reshape(b_n, t_out, c_out)
+    out = (cols @ kflat).reshape(*lead, b_n, t_out, c_out)
 
     def bw(g):
         gflat = g.reshape(b_n * t_out, c_out)
@@ -411,14 +429,13 @@ def max_pool1d(x: Tensor, window: int) -> Tensor:
     """
     if window < 1:
         raise ValueError(f"max_pool1d: window must be >= 1, got {window}")
-    if x.ndim != 3:
-        raise ValueError(f"max_pool1d: input must be rank 3, got {x.shape}")
-    b_n, t_n, c_n = x.shape
+    _check_lanes(x, 3, "max_pool1d")
+    *lead, b_n, t_n, c_n = x.shape
     t_out = t_n // window
     if t_out == 0:
         raise ValueError(f"max_pool1d: window {window} longer than input {t_n}")
-    blocks = x.data[:, : t_out * window, :].reshape(b_n, t_out, window, c_n)
-    out = blocks.max(axis=2)
+    blocks = x.data[..., : t_out * window, :].reshape(*lead, b_n, t_out, window, c_n)
+    out = blocks.max(axis=-2)
 
     def bw(g):
         arg = np.argmax(blocks, axis=2)  # first occurrence on ties

@@ -4,7 +4,8 @@ Both cells store their gate weights stacked by column, the layout cuDNN uses:
 each step takes one input product and one recurrent product and cuts the
 gates out of the result. ``lstm_cell``/``gru_cell`` record one [batch, in]
 step from autodiff primitives; ``lstm_scan``/``gru_scan`` run the same steps
-over [batch, time, in] in numpy as one node with its own BPTT."""
+over [batch, time, in] in numpy as one node with its own BPTT; under
+``no_grad`` they also take leading lane axes, [..., batch, time, in]."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import (
-    _GRAD_ENABLED, Tensor, _make, bias_add, matmul, mul, sigmoid, slice_, sub, tanh,
+    _GRAD_ENABLED, Tensor, _check_lanes, _make, bias_add, matmul, mul, sigmoid, slice_, sub,
+    tanh,
 )
 
 
@@ -100,22 +102,23 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
 
 
 def lstm_scan(x: Tensor, p: LstmParams) -> Tensor:
-    """``lstm_cell`` over a [B, T, C] sequence from zero state, in the cell's
-    order of operations (so bit-identical): the last hidden state [B, H].
-    Activations are kept only while grad recording is on."""
-    b_n, t_n, _ = x.shape
+    """``lstm_cell`` over a [..., B, T, C] sequence from zero state, in the
+    cell's order of operations (so bit-identical): the last hidden state
+    [..., B, H]. Activations are kept only while grad recording is on."""
+    _check_lanes(x, 3, "lstm_scan")
+    *lead, b_n, t_n, _ = x.shape
     wx, wh, b = p.wx.data, p.wh.data, p.b.data
     hid = wh.shape[0]
-    h, c = np.zeros((b_n, hid)), np.zeros((b_n, hid))
+    h, c = np.zeros((*lead, b_n, hid)), np.zeros((*lead, b_n, hid))
     saved = [] if _GRAD_ENABLED[0] else None
     for t in range(t_n):
-        pre = x.data[:, t, :] @ wx + h @ wh + b
+        pre = x.data[..., t, :] @ wx + h @ wh + b
         act = 1.0 / (1.0 + np.exp(-pre))  # gates i, f, o; block 2 is unused
-        g = np.tanh(pre[:, 2 * hid:3 * hid])
+        g = np.tanh(pre[..., 2 * hid:3 * hid])
         if saved is not None:
             saved.append((h, c, act, g))
-        c = act[:, hid:2 * hid] * c + act[:, :hid] * g
-        h = act[:, 3 * hid:] * np.tanh(c)
+        c = act[..., hid:2 * hid] * c + act[..., :hid] * g
+        h = act[..., 3 * hid:] * np.tanh(c)
 
     def bw(gh):
         dpre = np.empty((b_n, t_n, 4 * hid))
@@ -139,23 +142,28 @@ def lstm_scan(x: Tensor, p: LstmParams) -> Tensor:
 
 
 def gru_scan(x: Tensor, p: GruParams, period: int) -> Tensor:
-    """``gru_cell`` from zero state over every ``period``-th step of [B, T, C],
-    one subsequence per phase ending at the last step: the phases' last
-    hidden states side by side, [B, period * H]. Each step is one bit-identical
-    ``gru_cell`` on phase-major rows (phase j in rows j*B to (j+1)*B)."""
-    b_n, t_n, c_in = x.shape
+    """``gru_cell`` from zero state over every ``period``-th step of
+    [..., B, T, C], one subsequence per phase ending at the last step: the
+    phases' last hidden states side by side, [..., B, period * H]. Each step is
+    one bit-identical ``gru_cell`` on phase-major rows (phase j in rows j*B to
+    (j+1)*B)."""
+    _check_lanes(x, 3, "gru_scan")
+    *lead, b_n, t_n, c_in = x.shape
     hid = p.w_hn.shape[0]
     n_steps, rows = t_n // period, period * b_n
     start = t_n - n_steps * period
-    steps = x.data[:, start:].reshape(b_n, n_steps, period, c_in).transpose(1, 2, 0, 3)
-    steps = steps.reshape(n_steps, rows, c_in)
-    h = np.zeros((rows, hid))
+    # [..., B, steps, period, C] -> [steps, ..., period, B, C]
+    nl = len(lead)
+    steps = x.data[..., start:, :].reshape(*lead, b_n, n_steps, period, c_in)
+    steps = steps.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)
+    steps = steps.reshape(n_steps, *lead, rows, c_in)
+    h = np.zeros((*lead, rows, hid))
     saved = [] if _GRAD_ENABLED[0] else None
     for t in range(n_steps):
         pre_x = steps[t] @ p.wx.data
-        zr = 1.0 / (1.0 + np.exp(-(pre_x[:, :2 * hid] + h @ p.wh.data + p.b.data)))
-        z, r = zr[:, :hid], zr[:, hid:]
-        n = np.tanh(pre_x[:, 2 * hid:] + (r * h) @ p.w_hn.data + p.b_n.data)
+        zr = 1.0 / (1.0 + np.exp(-(pre_x[..., :2 * hid] + h @ p.wh.data + p.b.data)))
+        z, r = zr[..., :hid], zr[..., hid:]
+        n = np.tanh(pre_x[..., 2 * hid:] + (r * h) @ p.w_hn.data + p.b_n.data)
         if saved is not None:
             saved.append((h, zr, n))
         h = z * h + (1.0 - z) * n
@@ -181,5 +189,5 @@ def gru_scan(x: Tensor, p: GruParams, period: int) -> Tensor:
         return (gx, steps.reshape(-1, c_in).T @ flat, hs.T @ dzr, dzr.sum(axis=0),
                 rhs.T @ dn, dn.sum(axis=0))
 
-    out = h.reshape(period, b_n, hid).transpose(1, 0, 2).reshape(b_n, period * hid)
+    out = h.reshape(*lead, period, b_n, hid).swapaxes(-3, -2).reshape(*lead, b_n, period * hid)
     return _make(out, "gru_scan", (x, p.wx, p.wh, p.b, p.w_hn, p.b_n), bw)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +24,20 @@ from .plant import PlantParams, PlantState, check_actuator_bounds, plant_step, s
 
 WIDTH_TOLERANCE = 1.0       # mm
 THICKNESS_TOLERANCE = 0.05  # mm
-# each quality objective: name, tolerance, and its set-points of (knife, DS gap, OS gap)
-OBJECTIVES = (("width", WIDTH_TOLERANCE, slice(0, 1)),
-              ("thickness", THICKNESS_TOLERANCE, slice(1, 3)))
+
+
+class Objective(NamedTuple):
+    """One quality objective; every length is in mm."""
+
+    name: str
+    tolerance: float
+    cols: slice           # its set-points among (knife, DS gap, OS gap)
+    far: float            # a start this far from the target counts as away from it
+    start_margin: float   # a start's desired reading keeps this far inside the reach
+
+
+OBJECTIVES = (Objective("width", WIDTH_TOLERANCE, slice(0, 1), 5.0, 1.0),
+              Objective("thickness", THICKNESS_TOLERANCE, slice(1, 3), 0.25, 0.02))
 
 
 @dataclass
@@ -150,7 +162,9 @@ class ForecastBackend:
 
     The stored window shifts by one row per step; the new row carries the
     updated set-points, the latest predictions as the quality readings, and
-    the training-set means for the auxiliary channels.
+    the training-set means for the auxiliary channels. Settles run as lanes:
+    each set-point triple has its own window, and one forecaster call per
+    model advances every lane, each lane bit-equal to a call of its own.
     """
 
     def __init__(self, width_model: LstnetModel, thickness_model: LstnetModel):
@@ -167,71 +181,108 @@ class ForecastBackend:
         # predictions are written back into the window as-is; the periodic
         # gauge component is keyed to the (frozen) roll-angle channel rather
         # than the reading history, so the loop does not re-excite itself.
-        self._window = None
-        self._w = None
-        self._h = None
+        self._window = None   # [1, T, F]: the lane ``step`` continues
+        self._reading = None  # [1, 2]: its latest (width, thickness)
         self._settled = {}  # exact set-point triple -> settled (width, thickness)
 
-    def _new_row(self, knife, ds, os_):
-        row = self.width_model.norm.mean.copy()  # aux channels sit at training means
-        row[self._cols] = knife, ds, os_, self._w, self._h
-        return row
+    RAMP_RATES = np.array([2.0, 0.05, 0.05])  # knife, DS, OS: mm per wash step, controller scale
 
-    RAMP_RATE_KNIFE = 2.0  # mm per wash step, matching controller-scale moves
-    RAMP_RATE_GAP = 0.05
+    def _advance(self, windows, setpoints, readings):
+        """One step of every lane: shift into each window [K, T, F] a row of
+        its set-points [K, 3] and latest readings [K, 2] (auxiliary channels
+        at the training means); returns the windows and the new readings."""
+        rows = np.tile(self.width_model.norm.mean, (len(windows), 1))
+        rows[:, self._cols] = np.concatenate([setpoints, readings], axis=1)
+        windows = np.roll(windows, -1, axis=1)
+        windows[:, -1] = rows
+        lanes = windows[:, None]
+        return windows, np.stack([self.width_model.predict(lanes)[:, 0],
+                                  self.thickness_model.predict(lanes)[:, 0]], axis=1)
 
-    def reset(self, knife: float, ds: float, os_: float):
-        """Settle at the requested set-points, starting from the nominal point.
+    @staticmethod
+    def _check_finite(setpoints, reading):
+        """Raise, naming the set-points, if a lane's (width, thickness) is not finite."""
+        for obj, value in zip(OBJECTIVES, reading.tolist()):
+            if not math.isfinite(value):
+                knife, ds, os_ = setpoints.tolist()
+                raise ValueError(f"{obj.name} forecaster predicted {value} at set-points "
+                                 f"knife={knife}, ds={ds}, os={os_}")
 
-        The window is seeded entirely at the training means (a self-consistent
-        operating point); the set-points are then ramped to their targets at
-        controller-scale rates, keeping the wash inside the regime the
-        forecaster was trained on, and the window is refreshed afterwards.
+    def _settle_lanes(self, triples):
+        """Settle each (knife, DS, OS) triple as one lane from the nominal point.
+
+        Every window is seeded at the training means (a self-consistent
+        operating point). A lane then ramps its set-points to their targets at
+        controller-scale rates for ``ramp`` steps and holds them for a window
+        more, which keeps the wash inside the regime the forecaster was
+        trained on; it keeps settling for up to ``3 * window`` steps while its
+        predictions still move, and leaves the batch at its own exit. Returns
+        the windows [K, T, F] and readings [K, 2]. A non-finite prediction
+        raises for the first lane, in triple order, that meets one: lanes
+        after it stop there, lanes before it run on.
         """
         t = self.width_model.cfg.window
-        k0, d0, o0, self._w, self._h = self.width_model.norm.mean[self._cols].tolist()
-        base = self._new_row(k0, d0, o0)
-        self._window = np.tile(base, (t, 1))
-        ramp = max(1, int(np.ceil(max(
-            abs(knife - k0) / self.RAMP_RATE_KNIFE,
-            abs(ds - d0) / self.RAMP_RATE_GAP,
-            abs(os_ - o0) / self.RAMP_RATE_GAP,
-        ))))
-        for j in range(ramp + t):
-            frac = min((j + 1) / ramp, 1.0)
-            self.step(k0 + frac * (knife - k0), d0 + frac * (ds - d0),
-                      o0 + frac * (os_ - o0))
-        # keep settling while the predictions are still visibly moving
-        for _ in range(3 * t):
-            w_prev, h_prev = self._w, self._h
-            self.step(knife, ds, os_)
-            if abs(self._w - w_prev) < 1e-3 and abs(self._h - h_prev) < 5e-5:
-                break
-        return self._w, self._h
+        nominal = self.width_model.norm.mean[self._cols]
+        start = nominal[:3]
+        target = np.array(triples, dtype=np.float64).reshape(-1, 3)
+        ramp = np.maximum(1, np.ceil(np.max(np.abs(target - start) / self.RAMP_RATES,
+                                            axis=1))).astype(int)
+        lane = np.arange(len(target))  # the live lanes, in triple order
+        windows = np.tile(self.width_model.norm.mean, (len(target), t, 1))
+        readings = np.tile(nominal[3:], (len(target), 1))
+        settled_windows, settled = np.empty_like(windows), np.empty_like(readings)
+        failed = None  # (set-points, reading) of the first lane in order that failed
+        n = 0
+        while lane.size:
+            ramping = n < ramp[lane] + t
+            frac = np.minimum((n + 1) / ramp[lane], 1.0)[:, None]
+            points = np.where(ramping[:, None], start + frac * (target[lane] - start),
+                              target[lane])
+            windows, new = self._advance(windows, points, readings)
+            live = np.isfinite(new).all(axis=1)
+            if not live.all():
+                i = int(np.argmin(live))
+                failed = points[i], new[i]
+                live &= lane < lane[i]
+            converged = (np.abs(new - readings) < (1e-3, 5e-5)).all(axis=1)
+            leave = live & ((~ramping & converged) | (n + 1 == ramp[lane] + 4 * t))
+            settled_windows[lane[leave]], settled[lane[leave]] = windows[leave], new[leave]
+            keep = live & ~leave
+            lane, windows, readings = lane[keep], windows[keep], new[keep]
+            n += 1
+        if failed is not None:
+            self._check_finite(*failed)
+        return settled_windows, settled
 
-    def settle(self, knife: float, ds: float, os_: float):
-        """The (width, thickness) a reset at these set-points settles to.
+    def reset(self, knife: float, ds: float, os_: float):
+        """Settle at the requested set-points (one lane), and keep its window
+        for ``step`` to continue."""
+        self._window, self._reading = self._settle_lanes([(knife, ds, os_)])
+        w, h = self._reading[0].tolist()
+        return w, h
 
-        A reset is a deterministic function of its set-point triple, so the
-        reading is memoized on the exact triple for the life of the backend;
-        a miss runs ``reset``. A hit leaves the window as it was, which is
-        safe because ``reset`` re-seeds the window without reading it.
+    def settle(self, triples):
+        """The (width, thickness) each set-point triple settles to, in order.
+
+        A settle is a deterministic function of its triple, so the reading is
+        memoized on the exact triple for the life of the backend. The misses
+        of one call settle together as lanes, a repeat once; the window that
+        ``step`` continues is left as it was.
         """
-        key = (knife, ds, os_)
-        if key not in self._settled:
-            self._settled[key] = self.reset(knife, ds, os_)
-        return self._settled[key]
+        keys = [tuple(t) for t in triples]
+        misses = list(dict.fromkeys(k for k in keys if k not in self._settled))
+        if misses:
+            _, readings = self._settle_lanes(misses)
+            for key, reading in zip(misses, readings.tolist()):
+                self._settled[key] = tuple(reading)
+        return [self._settled[k] for k in keys]
 
     def step(self, knife: float, ds: float, os_: float):
-        self._window = np.roll(self._window, -1, axis=0)
-        self._window[-1] = self._new_row(knife, ds, os_)
-        self._w = float(self.width_model.predict(self._window))
-        self._h = float(self.thickness_model.predict(self._window))
-        for name, value in (("width", self._w), ("thickness", self._h)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} forecaster predicted {value} at set-points "
-                                 f"knife={knife}, ds={ds}, os={os_}")
-        return self._w, self._h
+        setpoints = np.array([[knife, ds, os_]], dtype=np.float64)
+        self._window, self._reading = self._advance(self._window, setpoints, self._reading)
+        self._check_finite(setpoints[0], self._reading[0])
+        w, h = self._reading[0].tolist()
+        return w, h
 
 
 class PlantBackend:
@@ -246,7 +297,10 @@ class PlantBackend:
         self._state = steady_state(self.params, knife, ds, os_)
         return self._state.width, self._state.thickness
 
-    settle = reset  # the steady (width, thickness); closed form, so no memo is needed
+    def settle(self, triples):
+        """The steady (width, thickness) of each triple; closed form, so no memo."""
+        states = [steady_state(self.params, *t) for t in triples]
+        return [(s.width, s.thickness) for s in states]
 
     def step(self, knife: float, ds: float, os_: float):
         self._state = replace(self._state, knife=knife, ds_gap=ds, os_gap=os_)
@@ -289,10 +343,10 @@ class FilmLineEnv:
 
         The inverse maps come from mid-point probes; the reachable spans come
         from the corner probes (extreme knife against opposing gap), since the
-        roll gap couples into width. Each probe is a backend ``settle``, which
-        a backend shared by several environments answers from its memo;
-        ``step`` refuses to run before ``reset``, so no probe leaves state an
-        episode sees.
+        roll gap couples into width. Each round of probes is one backend
+        ``settle``, which a backend shared by several environments answers
+        from its memo; ``step`` refuses to run before ``reset``, so no probe
+        leaves state an episode sees.
         """
         ep = self.episode
         k_lo, k_hi = ep.knife_bounds
@@ -304,88 +358,86 @@ class FilmLineEnv:
 
         # rough single-axis response maps around the mid operating point;
         # interior gap probes give a more reliable slope than edge extremes
-        w_at_lo, _ = self.backend.settle(k_lo, g_mid, g_mid)
-        w_at_hi, _ = self.backend.settle(k_hi, g_mid, g_mid)
-        _, h_in_lo = self.backend.settle(k_mid, g_in_lo, g_in_lo)
-        _, h_in_hi = self.backend.settle(k_mid, g_in_hi, g_in_hi)
-        self._knife_of_width = _affine_inverse("knife->width", k_lo, k_hi, w_at_lo, w_at_hi)
-        self._gap_of_thickness = _affine_inverse("gap->thickness", g_in_lo, g_in_hi,
-                                                 h_in_lo, h_in_hi)
+        (w_at_lo, _), (w_at_hi, _), (_, h_in_lo), (_, h_in_hi) = self.backend.settle(
+            [(k_lo, g_mid, g_mid), (k_hi, g_mid, g_mid),
+             (k_mid, g_in_lo, g_in_lo), (k_mid, g_in_hi, g_in_hi)])
+        # the inverse maps, in OBJECTIVES order
+        self._inverses = (_affine_inverse("knife->width", k_lo, k_hi, w_at_lo, w_at_hi),
+                          _affine_inverse("gap->thickness", g_in_lo, g_in_hi,
+                                          h_in_lo, h_in_hi))
 
         # reachability is a joint question: measure each axis's span while the
         # other actuator sits at its target-implied set-point
-        k_star = float(np.clip(self._knife_of_width(ep.width_target), k_lo, k_hi))
-        g_star = float(np.clip(self._gap_of_thickness(ep.thickness_target), g_lo, g_hi))
-        heights = []
-        for g in (g_lo, g_in_lo, g_in_hi, g_hi):
-            _, h = self.backend.settle(k_star, g, g)
-            heights.append(h)
-        widths = []
-        for k in (k_lo, k_hi):
-            w, _ = self.backend.settle(k, g_star, g_star)
-            widths.append(w)
+        knife_of_width, gap_of_thickness = self._inverses
+        k_star = float(np.clip(knife_of_width(ep.width_target), k_lo, k_hi))
+        g_star = float(np.clip(gap_of_thickness(ep.thickness_target), g_lo, g_hi))
+        readings = self.backend.settle([(k_star, g, g) for g in (g_lo, g_in_lo, g_in_hi, g_hi)]
+                                       + [(k, g_star, g_star) for k in (k_lo, k_hi)])
+        heights = [h for _, h in readings[:4]]
+        widths = [w for w, _ in readings[4:]]
         # reachable (low, high) reading of each objective, in OBJECTIVES order
         self._spans = ((min(widths), max(widths)), (min(heights), max(heights)))
 
     def _check_targets(self):
-        for (name, tolerance, _), (lo, hi) in zip(OBJECTIVES, self._spans):
-            target = getattr(self.episode, f"{name}_target")
-            if not lo + tolerance <= target <= hi - tolerance:
-                raise ValueError(f"{name} target {target} outside reachable range "
+        for obj, (lo, hi) in zip(OBJECTIVES, self._spans):
+            target = getattr(self.episode, f"{obj.name}_target")
+            if not lo + obj.tolerance <= target <= hi - obj.tolerance:
+                raise ValueError(f"{obj.name} target {target} outside reachable range "
                                  f"[{lo:.2f}, {hi:.2f}]")
 
     # -- episode API ------------------------------------------------------
     def reset(self) -> np.ndarray:
         ep = self.episode
+        targets = [getattr(ep, f"{obj.name}_target") for obj in OBJECTIVES]
         for _ in range(50):
-            knife, ds, os_, width_near, thickness_near = self._sample_initial_setpoints()
-            w0, h0 = self.backend.reset(knife, ds, os_)
-            w_err, h_err = abs(w0 - ep.width_target), abs(h0 - ep.thickness_target)
-            far_enough = ((w_err >= 5.0 or width_near) and (h_err >= 0.25 or thickness_near)
-                          and (w_err >= 5.0 or h_err >= 0.25))
-            if far_enough:
+            setpoints, near = self._sample_initial_setpoints()
+            values = self.backend.reset(*setpoints)
+            far = [abs(v - target) >= obj.far
+                   for obj, v, target in zip(OBJECTIVES, values, targets)]
+            # away from every target it was not drawn near, and from at least one
+            if all(f or n for f, n in zip(far, near)) and any(far):
                 break
         else:
             raise RuntimeError("could not sample an initial state away from the targets")
 
-        self._setpoints = np.array([knife, ds, os_])
+        self._setpoints = np.array(setpoints)
         self._objectives = []
-        for (name, tolerance, cols), value in zip(OBJECTIVES, (w0, h0)):
-            target = getattr(ep, f"{name}_target")
-            signed = (value - target) / tolerance
+        for obj, value, target in zip(OBJECTIVES, values, targets):
+            signed = (value - target) / obj.tolerance
             self._objectives.append(ObjectiveState(
-                name=name, value=value, target=target, tolerance=tolerance,
+                name=obj.name, value=value, target=target, tolerance=obj.tolerance,
                 error=abs(signed), best_error=abs(signed), prev_signed=signed,
-                setpoints=self._setpoints[cols].copy(),
-                prev_setpoints=self._setpoints[cols].copy(),
-                action_scales=self._scales[cols], history=[signed] * ep.history))
+                setpoints=self._setpoints[obj.cols].copy(),
+                prev_setpoints=self._setpoints[obj.cols].copy(),
+                action_scales=self._scales[obj.cols], history=[signed] * ep.history))
         self._steps = 0
         return self._state_vector()
 
     def _sample_initial_setpoints(self):
+        """A start's (knife, DS gap, OS gap), and per objective whether it was
+        drawn near that objective's target."""
         ep = self.episode
         rng = self._rng
-        (w_lo, w_hi), (h_lo, h_hi) = self._spans
-
+        half = 0.5 * ep.near_start_fraction
         draw = rng.random()
-        width_near = draw < 0.5 * ep.near_start_fraction
-        thickness_near = 0.5 * ep.near_start_fraction <= draw < ep.near_start_fraction
+        near = [i * half <= draw < (i + 1) * half for i in range(len(OBJECTIVES))]
 
-        band = ep.init_width_near if width_near else ep.init_width_offset
-        mag = rng.uniform(*band)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        desired_w = np.clip(ep.width_target + sign * mag, w_lo + 1.0, w_hi - 1.0)
-        knife = float(np.clip(self._knife_of_width(desired_w), *ep.knife_bounds))
-
-        band = ep.init_thickness_near if thickness_near else ep.init_thickness_offset
-        mag = rng.uniform(*band)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        desired_h = np.clip(ep.thickness_target + sign * mag, h_lo + 0.02, h_hi - 0.02)
-        gap = float(np.clip(self._gap_of_thickness(desired_h), *ep.gap_bounds))
+        # per objective: an offset from the target, inverted to its set-point
+        base = []
+        for obj, is_near, (lo, hi), inverse, bounds in zip(
+                OBJECTIVES, near, self._spans, self._inverses,
+                (ep.knife_bounds, ep.gap_bounds)):
+            band = getattr(ep, f"init_{obj.name}_{'near' if is_near else 'offset'}")
+            mag = rng.uniform(*band)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            desired = np.clip(getattr(ep, f"{obj.name}_target") + sign * mag,
+                              lo + obj.start_margin, hi - obj.start_margin)
+            base.append(float(np.clip(inverse(desired), *bounds)))
+        knife, gap = base
         asym = rng.uniform(-0.02, 0.02)
         ds = float(np.clip(gap + asym, *ep.gap_bounds))
         os_ = float(np.clip(gap - asym, *ep.gap_bounds))
-        return knife, ds, os_, width_near, thickness_near
+        return (knife, ds, os_), near
 
     def step(self, action: np.ndarray):
         """Apply a 3-dim action in [-1, 1]; returns (state, reward, done, info)."""
@@ -408,11 +460,11 @@ class FilmLineEnv:
         self._steps += 1
 
         components = []
-        for obj, value, (_, _, cols) in zip(self._objectives, (w, h), OBJECTIVES):
+        for obj, value, spec in zip(self._objectives, (w, h), OBJECTIVES):
             prev_signed = obj.signed
             obj.value = value
-            obj.prev_setpoints = old[cols].copy()
-            obj.setpoints = new[cols].copy()
+            obj.prev_setpoints = old[spec.cols].copy()
+            obj.setpoints = new[spec.cols].copy()
             obj.error = abs(obj.signed)
             comp = reward_components(obj, self.reward_cfg)
             components.append(comp)

@@ -175,9 +175,10 @@ class LstnetParams:
 
 def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndarray,
                    training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Normalized next-step prediction for a [B, T, F] window batch."""
+    """Normalized next-step prediction [..., B, 1] for a [..., B, T, F] window
+    batch; leading lane axes run under ``no_grad`` only."""
     windows = np.asarray(windows, dtype=np.float64)
-    _, t_n, _ = windows.shape
+    t_n = windows.shape[-2]
     if t_n != cfg.window:
         raise ValueError(f"forecaster: window length {t_n} != configured {cfg.window}")
     if training and cfg.dropout > 0 and rng is None:
@@ -203,15 +204,19 @@ class LstnetModel:
         self.norm = norm
 
     def predict(self, raw_windows: np.ndarray) -> np.ndarray:
-        """De-normalized (mm) predictions; deterministic (dropout disabled)."""
+        """De-normalized (mm) predictions; deterministic (dropout disabled).
+
+        A [T, F] window gives a float, a [B, T, F] batch [B] and K lanes of
+        batches, [K, B, T, F], give [K, B], each lane bit-equal to its own call.
+        """
         raw_windows = np.asarray(raw_windows, dtype=np.float64)
         squeeze = raw_windows.ndim == 2
         if squeeze:
             raw_windows = raw_windows[None]
         with ad.no_grad():
             out = lstnet_forward(self.cfg, self.params, self.norm.transform(raw_windows)).data
-        anchor = raw_windows[:, -1, self.norm.target_col]
-        pred = self.norm.denormalize_target(out[:, 0], anchor)
+        anchor = raw_windows[..., -1, self.norm.target_col]
+        pred = self.norm.denormalize_target(out[..., 0], anchor)
         return float(pred[0]) if squeeze else pred
 
     def fingerprint(self) -> str:

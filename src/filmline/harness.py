@@ -261,17 +261,17 @@ def train_or_load_forecasters(cfg: AppConfig, out_dir: str, dataset: SeriesDatas
     plan = cfg.experiment
     metrics_rows = []
     models = {}
-    for target, tolerance, _ in OBJECTIVES:
-        model, _ = train_forecaster(cfg.forecaster, dataset, target,
+    for obj in OBJECTIVES:
+        model, _ = train_forecaster(cfg.forecaster, dataset, obj.name,
                                     seed=plan.forecaster_seed, verbose=verbose)
-        m = evaluate_forecaster(model, dataset, tolerance)
-        metrics_rows.append([f"lstnet-{target}", m.mae, m.rmse, m.qualification_rate,
+        m = evaluate_forecaster(model, dataset, obj.tolerance)
+        metrics_rows.append([f"lstnet-{obj.name}", m.mae, m.rmse, m.qualification_rate,
                              plan.forecaster_seed])
-        _, lr_m = linreg_baseline(dataset, target, window=cfg.forecaster.window,
-                                  tolerance=tolerance)
-        metrics_rows.append([f"linreg-{target}", lr_m.mae, lr_m.rmse,
+        _, lr_m = linreg_baseline(dataset, obj.name, window=cfg.forecaster.window,
+                                  tolerance=obj.tolerance)
+        metrics_rows.append([f"linreg-{obj.name}", lr_m.mae, lr_m.rmse,
                              lr_m.qualification_rate, plan.forecaster_seed])
-        models[target] = model
+        models[obj.name] = model
     models["width"].save(width_path)
     models["thickness"].save(thick_path)
     write_csv(os.path.join(fdir, "metrics.csv"),
@@ -551,7 +551,7 @@ def emit_outputs(records: list[RunRecord], out_dir: str):
             continue
         groups.setdefault((r.variant, r.scenario, r.steps_per_episode), []).append(r)
     for (variant, scenario, steps), group in sorted(groups.items()):
-        for (quantity, tol, _), target in zip(OBJECTIVES, scenario):
+        for (quantity, tol, *_), target in zip(OBJECTIVES, scenario):
             trajs = [[info[quantity] for info in r.first_eval_trace] for r in group]
             longest = max(len(t) for t in trajs)
             padded = np.array([t + [t[-1]] * (longest - len(t)) for t in trajs])

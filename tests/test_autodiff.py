@@ -91,6 +91,21 @@ def test_matmul_inner_dim_error():
 # conv / pool / layer norm
 # ----------------------------------------------------------------------
 
+def test_lane_primitives_need_no_grad_and_equal_their_per_lane_calls():
+    rng = np.random.default_rng(0)
+    x, k, w = (rng.standard_normal(shape) for shape in ((3, 1, 6, 4), (2, 4, 5), (4, 3)))
+    ops = {"conv1d": lambda v: ad.conv1d(v, Tensor(k)),
+           "max_pool1d": lambda v: ad.max_pool1d(v, 2),
+           "matmul": lambda v: ad.matmul(v, Tensor(w)),
+           "concat": lambda v: ad.concat([v, v], axis=1)}
+    for name, op in ops.items():
+        with pytest.raises(ValueError, match=f"{name}: lane input"):
+            op(Tensor(x))
+        with ad.no_grad():
+            lanes = op(Tensor(x)).data
+            assert np.array_equal(lanes, np.stack([op(Tensor(v)).data for v in x]))
+
+
 def test_conv1d_hand_case():
     x = Tensor(np.ones((1, 4, 1)))
     k = Tensor(np.ones((2, 1, 1)))

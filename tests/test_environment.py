@@ -10,7 +10,9 @@ from filmline.environment import (
     EpisodeConfig, FilmLineEnv, ForecastBackend, ObjectiveState, PlantBackend, RewardConfig,
     normalize_weights, oracle_eval, reward_components, run_episodes, total_reward,
 )
-from filmline.plant import PlantParams, thickness_steady_state, width_steady_state
+from filmline.plant import (
+    CONTROL_NAMES, PlantParams, thickness_steady_state, width_steady_state,
+)
 
 
 class LinearBackend:
@@ -22,8 +24,8 @@ class LinearBackend:
     def reset(self, knife, ds, os_):
         return self.step(knife, ds, os_)
 
-    def settle(self, knife, ds, os_):
-        return self.step(knife, ds, os_)
+    def settle(self, triples):
+        return [self.step(*t) for t in triples]
 
     def step(self, knife, ds, os_):
         return (width_steady_state(self.params, knife, 0.5 * (ds + os_)),
@@ -157,6 +159,23 @@ def test_reset_samples_away_from_targets():
         assert w_err >= 5.0 or h_err >= 0.25  # at least one objective starts far
         near_starts += int(w_err < 5.0 or h_err < 0.25)
     assert near_starts > 0  # the curriculum mixes in near-target starts
+
+
+def test_reset_gives_up_when_every_draw_reads_the_targets():
+    class AtTargets(LinearBackend):  # probes respond, but every start reads the targets
+        draws = 0
+
+        def reset(self, knife, ds, os_):
+            self.draws += 1
+            return 480.0, 3.0
+
+    backend = AtTargets()
+    env = FilmLineEnv(backend, EpisodeConfig(width_target=480.0, thickness_target=3.0),
+                      RewardConfig())
+    with pytest.raises(RuntimeError,
+                       match="^could not sample an initial state away from the targets$"):
+        env.reset()
+    assert backend.draws == 50
 
 
 def test_normalized_error_definition():
@@ -356,7 +375,7 @@ def test_plant_backend_runs_true_dynamics():
     assert w0 == pytest.approx(width_steady_state(PlantParams(), 470.0, 3.0))
     w1, h1 = backend.step(472.0, 3.0, 3.0)
     assert w1 > w0  # lagged move toward the higher steady state
-    assert backend.settle(470.0, 3.0, 3.0) == (w0, h0)
+    assert backend.settle([(470.0, 3.0, 3.0)]) == [(w0, h0)]
 
 
 def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
@@ -365,8 +384,8 @@ def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
     class NanWidth:
         cfg, norm = width.cfg, width.norm
 
-        def predict(self, window):
-            return np.nan
+        def predict(self, lanes):
+            return np.full(lanes.shape[:2], np.nan)
 
     backend = ForecastBackend(NanWidth(), thickness)
     with pytest.raises(ValueError, match=r"width forecaster predicted nan .*knife="):
@@ -374,6 +393,80 @@ def test_forecast_backend_raises_on_a_non_finite_prediction(micro_models):
     with pytest.raises(ValueError, match="width forecaster predicted nan"):
         FilmLineEnv(backend, EpisodeConfig(width_target=scenario[0],
                                            thickness_target=scenario[1]), RewardConfig())
+
+
+def test_lane_settle_equals_serial_resets_bit_for_bit(micro_models, monkeypatch):
+    width, thickness, _ = micro_models
+    early = (365.0, 1.9, 1.9)
+    # ramps of 2 to 35 steps, one lane that leaves early, and a repeat
+    triples = [(470.0, 2.5, 2.75), (430.0, 2.7, 2.7), early, (495.0, 3.5, 3.5),
+               (430.0, 2.7, 2.7)]
+    serial = ForecastBackend(width, thickness)
+    expected = [serial.reset(*t) for t in triples]
+    assert ForecastBackend(width, thickness).settle(triples) == expected
+
+    calls = []
+    predict = width.predict
+    monkeypatch.setattr(width, "predict", lambda lanes: calls.append(1) or predict(lanes))
+    serial.reset(*early)
+    names = width.norm.feature_names
+    start = np.array([width.norm.mean[names.index(n)] for n in CONTROL_NAMES])
+    ramp = int(np.ceil(np.max(np.abs(np.array(early) - start) / ForecastBackend.RAMP_RATES)))
+    assert len(calls) < ramp + 4 * width.cfg.window  # its exit test fired
+
+
+def test_lane_settle_answers_memo_hits_and_repeats_without_predicting_again():
+    names = PlantParams().feature_names()
+    col = names.index("knife_spacing")
+    rows = []
+
+    def echo(lanes):
+        rows.append(len(lanes))
+        return lanes[..., -1, col]
+
+    def backend():
+        return ForecastBackend(schema_stub(names, echo), schema_stub(names, echo))
+
+    shared = backend()
+    assert shared.settle([(470.0, 2.5, 2.5)]) == [(470.0, 470.0)]
+    rows.clear()
+    assert shared.settle([(470.0, 2.5, 2.5)]) == [(470.0, 470.0)]
+    assert rows == []  # a memo hit runs no predict
+    backend().settle([(450.0, 2.5, 2.5)])
+    alone = sum(rows)
+    rows.clear()
+    shared.settle([(450.0, 2.5, 2.5), (450.0, 2.5, 2.5)])
+    assert sum(rows) == alone  # a repeat within one call is one lane
+
+
+@pytest.mark.parametrize("bad", ["one-lane", "two-lanes"])
+def test_lane_settle_raises_the_error_the_serial_resets_raise(bad):
+    names = PlantParams().feature_names()
+    col, ds_col = names.index("knife_spacing"), names.index("ds_gap")
+    # non-finite once a lane's set-points reach these (knife, DS gap) pairs; the
+    # (450, 2.6) lane, third in order, gets there ten steps before the (470, 2.5)
+    # lane, but the serial resets stop at the second triple and never reach it
+    nan_at = {"one-lane": [(470.0, 2.5)], "two-lanes": [(470.0, 2.5), (450.0, 2.6)]}[bad]
+
+    def width(lanes):
+        knife, ds = lanes[..., -1, col], lanes[..., -1, ds_col]
+        hit = np.any([(knife == k) & (ds == d) for k, d in nan_at], axis=0)
+        return np.where(hit, np.nan, knife)
+
+    def backend():
+        return ForecastBackend(schema_stub(names, width),
+                               schema_stub(names, lambda lanes: lanes[..., -1, col]))
+
+    triples = [(440.0, 2.5, 2.5), (470.0, 2.5, 2.75), (450.0, 2.6, 2.6)]
+    serial = backend()
+    with pytest.raises(ValueError) as serial_error:
+        for t in triples:
+            serial.reset(*t)
+    with pytest.raises(ValueError, match="width forecaster predicted nan at set-points knife=") \
+            as lane_error:
+        backend().settle(triples)
+    assert str(lane_error.value) == str(serial_error.value)
+    assert str(lane_error.value).endswith("knife=470.0, ds=2.5, os=2.75")
 
 
 def schema_stub(names, predict=None, window=3):
@@ -399,9 +492,9 @@ def test_forecast_backend_writes_set_points_into_their_named_columns():
     names = PlantParams().feature_names()[::-1]  # the columns in an unusual order
     col = {n: i for i, n in enumerate(names)}
     # "forecasts": width echoes the knife column, thickness the DS plus OS gap columns
-    width = schema_stub(names, lambda window: window[-1, col["knife_spacing"]])
-    thickness = schema_stub(names, lambda window: window[-1, col["ds_gap"]]
-                            + window[-1, col["os_gap"]])
+    width = schema_stub(names, lambda lanes: lanes[..., -1, col["knife_spacing"]])
+    thickness = schema_stub(names, lambda lanes: lanes[..., -1, col["ds_gap"]]
+                            + lanes[..., -1, col["os_gap"]])
     backend = ForecastBackend(width, thickness)
     assert backend.reset(470.0, 2.5, 2.75) == (470.0, 5.25)
     assert backend.step(471.0, 2.5, 2.5) == (471.0, 5.0)

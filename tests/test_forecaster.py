@@ -216,6 +216,32 @@ def test_forward_rejects_wrong_window_length():
         lstnet_forward(cfg, params, np.zeros((1, cfg.window + 1, 4)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_lane_predict_equals_per_window_predict_bit_for_bit(micro_models, k):
+    # one probe window among different companions and at different lane positions
+    rng = np.random.default_rng(k)
+    for model in micro_models[:2]:
+        norm, t = model.norm, model.cfg.window
+        pool = norm.mean + norm.std * rng.standard_normal((12, t, len(norm.mean)))
+        probe, alone = pool[0], model.predict(pool[0])
+        for position in sorted({0, k // 2, k - 1}):
+            companions = pool[1:][rng.permutation(11)[:k - 1]]
+            lanes = np.insert(companions, position, probe, axis=0)[:, None]
+            out = model.predict(lanes)
+            assert out.shape == (k, 1)
+            assert out[position, 0] == alone
+            assert np.array_equal(out[:, 0], [model.predict(w) for w in lanes[:, 0]])
+
+
+def test_lane_input_under_grad_recording_is_refused_by_name(micro_models):
+    model = micro_models[0]
+    lanes = np.zeros((2, 1, model.cfg.window, len(model.norm.mean)))
+    with pytest.raises(ValueError, match="conv1d: lane input .* no_grad"):
+        lstnet_forward(model.cfg, model.params, lanes)
+    with no_grad():
+        assert lstnet_forward(model.cfg, model.params, lanes).shape == (2, 1, 1)
+
+
 def test_lstnet_gradients_match_finite_differences():
     cfg = ForecasterConfig(window=8, conv_kernel=3, conv_channels=4, pool_window=2,
                            lstm_hidden=4, skip_hidden=3, skip_period=2, dropout=0.0,

@@ -544,10 +544,13 @@ def test_failed_cell_records_sentinel_and_grid_continues(tmp_path, tiny_app_conf
 
 def test_a_flat_surrogate_reaches_disk_as_a_named_failure(tmp_path, tiny_app_config):
     class FlatBackend:  # a surrogate whose readings ignore the set-points
-        def settle(self, knife, ds, os_):
+        def settle(self, triples):
+            return [self.step(*t) for t in triples]
+
+        def step(self, knife, ds, os_):
             return 480.0, 3.0
 
-        reset = step = settle
+        reset = step
 
     rec = run_cell(tiny_app_config, None, "mpd-ppo", (480.0, 3.0), 12, 0,
                    out_dir=str(tmp_path), backend=FlatBackend())
@@ -560,19 +563,19 @@ def test_run_grid_shares_one_settle_memo_and_keeps_curve_bytes(tmp_path, tiny_ap
                                                                micro_models, monkeypatch):
     width, thickness, scenario = micro_models
     events = []
-    env_init, backend_reset = FilmLineEnv.__init__, ForecastBackend.reset
+    env_init, backend_settle = FilmLineEnv.__init__, ForecastBackend._settle_lanes
 
     def init(self, *args, **kwargs):
         events.append("construct")
         env_init(self, *args, **kwargs)
         events.append("built")
 
-    def reset(self, *args, **kwargs):
-        events.append("reset")
-        return backend_reset(self, *args, **kwargs)
+    def settle_lanes(self, *args, **kwargs):
+        events.append("settle")
+        return backend_settle(self, *args, **kwargs)
 
     monkeypatch.setattr(FilmLineEnv, "__init__", init)
-    monkeypatch.setattr(ForecastBackend, "reset", reset)
+    monkeypatch.setattr(ForecastBackend, "_settle_lanes", settle_lanes)
     records = run_grid(tiny_app_config, str(tmp_path / "grid"), models=(width, thickness),
                        variants=["mpd-ppo"], scenarios=[list(scenario)], steps_options=[12],
                        seeds=[0, 1], verbose=False)
@@ -580,7 +583,7 @@ def test_run_grid_shares_one_settle_memo_and_keeps_curve_bytes(tmp_path, tiny_ap
     assert not any(r.failed for r in records)
     first = events.index("construct")
     second = events.index("construct", first + 1)
-    assert "reset" in events[first:events.index("built")]  # the first cell probes
+    assert "settle" in events[first:events.index("built")]  # the first cell probes
     assert events[second:second + 2] == ["construct", "built"]  # the second reuses them
 
     tag = scenario_tag(scenario)
