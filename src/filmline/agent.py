@@ -147,6 +147,10 @@ class MultiPathPpoAgent:
                                     trunk_sizes=list(self.cfg.trunk_sizes))
         self.params = list(self.named_tensors().values())
         self.opt = Adam(self.params, lr=self.cfg.lr)
+        # the policy's tensors come first in the optimizer's buffer, then the critic's
+        split = self.policy.param.size
+        self.policy.param = ad.span(self.opt.param, 0, split)
+        self.critic.param = ad.span(self.opt.param, split, self.opt.param.size)
         self._offsets = np.cumsum([0] + [b.action_dims for b in branches])
 
     def branch_slice(self, i: int) -> slice:
@@ -158,15 +162,11 @@ class MultiPathPpoAgent:
     # -- acting ----------------------------------------------------------
     def act(self, state: np.ndarray) -> np.ndarray:
         """Sample one action from the current policy."""
-        with ad.no_grad():
-            outs = self.policy.forward(state)
-        return sample_action(outs, self.rng)
+        return sample_action(self.policy.means(state)[0], self.policy.stds(), self.rng)
 
     def mean_action(self, state: np.ndarray) -> np.ndarray:
         """The deterministic action: every branch's Gaussian mean."""
-        with ad.no_grad():
-            outs = self.policy.forward(state)
-        return np.concatenate([mean.data[0] for mean, _ in outs])
+        return self.policy.means(state)[0]
 
     def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """[n, branches] log-densities of ``actions`` under the current policy."""
@@ -264,7 +264,7 @@ class MultiPathPpoAgent:
                 f"non-finite update loss: policy={loss.data}, value={vf.data}, "
                 f"entropy={entropy_total.data}")
         ad.backward(total)
-        norm = clip_grad_norm(self.params, cfg.grad_clip)
+        norm = clip_grad_norm(self.opt, cfg.grad_clip)
         self.opt.step()
 
         stats["policy_loss"].append(float(loss.data))

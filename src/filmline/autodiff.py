@@ -12,6 +12,10 @@ Broadcasting is deliberately restricted to scalar-vs-array and equal shapes;
 anything richer (bias rows, per-column scaling) goes through a dedicated
 primitive so gradient shapes stay unambiguous.
 
+``pack`` moves parameters into one flat leaf whose ``data`` and ``grad``
+they view, in their own memory order; ``optim.Adam`` steps that buffer and
+the agent's networks differentiate their part of it as one leaf each.
+
 The forecaster's primitives (``matmul``, ``concat``, ``conv1d``,
 ``max_pool1d``, and the recurrent scans in ``cells``) also take leading lane
 axes, under ``no_grad`` only: each lane's products are slices of one stacked
@@ -107,10 +111,13 @@ def _as_tensor(x) -> Tensor:
 
 def _make(data, op, inputs, backward_fn) -> Tensor:
     """Wrap a result array, recording a node when any input tracks gradients."""
-    track = _GRAD_ENABLED[0] and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=track)
-    if track:
-        out.node = Node(op, tuple(inputs), backward_fn)
+    out = Tensor(data)
+    if _GRAD_ENABLED[0]:
+        for t in inputs:  # a plain loop: any() over a generator costs as much as the op
+            if t.requires_grad:
+                out.requires_grad = True
+                out.node = Node(op, tuple(inputs), backward_fn)
+                break
     return out
 
 
@@ -140,6 +147,50 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     if grad.shape == shape:
         return grad
     return np.sum(grad).reshape(shape) if np.prod(shape, dtype=int) <= 1 else grad
+
+
+# ----------------------------------------------------------------------
+# flat parameter leaves
+# ----------------------------------------------------------------------
+
+def flat_view(buf: np.ndarray, start: int, like: np.ndarray) -> np.ndarray:
+    """``buf[start:start + like.size]`` shaped as ``like``, in ``like``'s memory order.
+
+    ``nets.orthogonal`` returns a Fortran-ordered array when rows < cols, and
+    BLAS picks its path from the layout: a C-ordered copy of such a weight
+    multiplies to other bits.
+    """
+    seg = buf[start:start + like.size]
+    if like.ndim > 1 and like.flags.f_contiguous and not like.flags.c_contiguous:
+        return seg.reshape(like.shape[::-1]).T
+    return seg.reshape(like.shape)
+
+
+def pack(tensors) -> Tensor:
+    """Move ``tensors`` into one new flat leaf, back to back in order.
+
+    Each tensor's ``data`` becomes a view of the leaf's ``data`` holding its
+    values, and its ``grad`` a zeroed view of the leaf's ``grad``, both in the
+    tensor's own memory order. Gradients accumulated into either side are seen
+    by the other, as long as nothing rebinds ``data`` or ``grad``.
+    """
+    tensors = list(tensors)
+    leaf = Tensor(np.empty(sum(t.size for t in tensors)), requires_grad=True)
+    leaf.grad = np.zeros_like(leaf.data)
+    start = 0
+    for t in tensors:
+        view = flat_view(leaf.data, start, t.data)
+        view[...] = t.data
+        t.data, t.grad = view, flat_view(leaf.grad, start, t.data)
+        start += t.size
+    return leaf
+
+
+def span(leaf: Tensor, start: int, stop: int) -> Tensor:
+    """The leaf over elements [start, stop) of a packed leaf: data and grad are views."""
+    part = Tensor(leaf.data[start:stop], requires_grad=True)
+    part.grad = leaf.grad[start:stop]
+    return part
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +322,7 @@ def sum_(x: Tensor, axis=None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.full(x.shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
     return _make(out, "sum", (x,), bw)
@@ -283,7 +334,7 @@ def mean_(x: Tensor, axis=None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g / n, x.shape).copy(),)
+            return (np.full(x.shape, g / n),)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
 
     return _make(out, "mean", (x,), bw)
@@ -531,11 +582,11 @@ class Tape:
             for parent, pg in zip(t.node.inputs, t.node.backward_fn(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
-                else:
-                    acc += pg
+                # a backward rule may hand one array to several parents, so
+                # sums go to a new array and stored gradients stay unwritten
+                key = id(parent)
+                acc = grads.get(key)
+                grads[key] = np.asarray(pg, dtype=np.float64) if acc is None else acc + pg
 
 
 def backward(loss: Tensor):

@@ -169,8 +169,9 @@ class LstnetParams:
         return [t.data.copy() for t in self.tensors()]
 
     def restore(self, snap: list[np.ndarray]):
+        """Write a snapshot back in place, keeping each array's memory order."""
         for t, arr in zip(self.tensors(), snap):
-            t.data = arr.copy()
+            t.data[...] = arr
 
 
 def lstnet_forward(cfg: ForecasterConfig, params: LstnetParams, windows: np.ndarray,
@@ -348,6 +349,8 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
             best_val = val_mae
             best_snap = params.snapshot()
     params.restore(best_snap)
+    for t in params.tensors():  # a trained model keeps no view of the optimizer's gradients
+        t.grad = None
     return model, trace
 
 

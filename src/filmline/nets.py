@@ -4,6 +4,10 @@ The policy is a shared tanh trunk feeding one head per branch; each branch
 owns a state-independent trainable log-std vector. The critic is a separate
 trunk with one scalar value head per branch. Branch declaration order fixes
 the action-vector layout: branches in order, head output dimensions in order.
+
+Each network call records one autodiff node over one flat parameter leaf,
+with a hand-written backward that repeats the per-layer graph's operations;
+acting runs the same arithmetic in plain numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import (
-    Tensor, bias_add, exp, matmul, no_grad, scale_cols, square, sub, sum_, tanh,
+    _GRAD_ENABLED, Tensor, _make, bias_add, exp, matmul, scale_cols, slice_, square, sub, sum_,
 )
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -47,22 +52,53 @@ class Dense:
 
 
 class Mlp:
-    """Stack of Dense layers with tanh between them and a linear final layer."""
+    """Stack of Dense layers with tanh between them; the final layer is
+    linear unless ``final_tanh``.
+
+    The networks below run it in plain numpy (``run``) and differentiate it
+    by hand (``backprop``) inside their one autodiff node, in the operations
+    and order of the per-layer graph: the same bits.
+    """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator,
-                 hidden_gain: float = math.sqrt(2.0), out_gain: float = 1.0):
+                 hidden_gain: float = math.sqrt(2.0), out_gain: float = 1.0,
+                 final_tanh: bool = False):
+        self.final_tanh = final_tanh
         self.layers = []
         for i in range(len(sizes) - 1):
             last = i == len(sizes) - 2
             self.layers.append(Dense(sizes[i], sizes[i + 1], rng,
                                      out_gain if last else hidden_gain))
 
-    def __call__(self, x: Tensor, final_tanh: bool = False) -> Tensor:
+    def _tanh_after(self, i: int) -> bool:
+        return i < len(self.layers) - 1 or self.final_tanh
+
+    def run(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The forward in numpy; each layer's output is appended to ``acts`` when given."""
         for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1 or final_tanh:
-                x = tanh(x)
+            x = x @ layer.w.data + layer.b.data
+            if self._tanh_after(i):
+                x = np.tanh(x)
+            if acts is not None:
+                acts.append(x)
         return x
+
+    def backprop(self, x: np.ndarray, acts: list, g: np.ndarray, grad_of,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Gradients of one ``run`` from ``x`` that kept ``acts``, given the
+        output gradient ``g``. Each parameter's gradient is written into
+        ``grad_of(tensor)``; the input gradient is returned if asked for."""
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            if self._tanh_after(i):
+                a = acts[i]
+                g = g * (1.0 - a * a)
+            grad_of(layer.b)[...] = g.sum(axis=0)
+            inp = acts[i - 1] if i else x
+            grad_of(layer.w)[...] = inp.T @ g
+            if i or input_grad:
+                g = g @ layer.w.data.T
+        return g if input_grad else None
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         """``{prefix}.{i}.w`` and ``{prefix}.{i}.b`` for each layer, in layer order."""
@@ -116,7 +152,84 @@ def validate_branches(branches: list[BranchSpec]):
         raise ValueError("branch loss weights must not all be zero")
 
 
-class PolicyNetwork:
+class _TrunkHeads:
+    """A tanh trunk feeding linear heads, recorded as one autodiff node.
+
+    ``param`` is the flat leaf that node differentiates: every tensor of
+    ``named_tensors()`` is a view of it, back to back in that order
+    (``autodiff.pack``). An optimizer that packs them into its own buffer
+    hands the network its part of that buffer with ``autodiff.span``. The
+    node's output is every head's output side by side, ``[B, sum of head
+    widths]``; the trunk input is a constant state batch, so it gets no
+    gradient. The heads' input gradients are summed in head order; the
+    per-layer graph sums two the same way, and no configuration has more.
+    """
+
+    state_dim: int
+    trunk: Mlp
+    heads: list[Mlp]
+
+    def _pack(self):
+        tensors = self.tensors()
+        self.param = ad.pack(tensors)
+        starts = np.cumsum([0] + [t.size for t in tensors])
+        self._starts = {id(t): int(start) for t, start in zip(tensors, starts)}
+
+    def tensors(self) -> list[Tensor]:
+        return list(self.named_tensors().values())
+
+    def _run(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The forward in numpy; ``acts``, when given, holds one list per Mlp
+        (trunk first) that keeps its activations."""
+        keep = acts or [None] * (1 + len(self.heads))
+        feat = self.trunk.run(x, keep[0])
+        outs = [head.run(feat, k) for head, k in zip(self.heads, keep[1:])]
+        return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+
+    def _outputs(self, states, who: str) -> Tensor:
+        x = _state_batch(states, self.state_dim, who)
+        if not _GRAD_ENABLED[0]:
+            return Tensor(self._run(x))
+        param, heads = self.param, self.heads
+        if not np.may_share_memory(param.data, self.trunk.layers[0].w.data):
+            raise RuntimeError(f"{who}: the parameters were moved out of .param; give the "
+                               "network its part of the new buffer with autodiff.span")
+        acts = [[] for _ in range(1 + len(heads))]
+        out = self._run(x, acts)
+
+        def bw(g):  # the gradient of the whole flat leaf; log-stds get none here
+            grad = np.zeros(param.size)
+
+            def grad_of(t):
+                return ad.flat_view(grad, self._starts[id(t)], t.data)
+
+            feat = acts[0][-1]
+            g_feat = None
+            col = 0
+            for head, head_acts in zip(heads, acts[1:]):
+                width = head.layers[-1].b.size
+                g_head = g if len(heads) == 1 else np.ascontiguousarray(g[:, col:col + width])
+                col += width
+                g_in = head.backprop(feat, head_acts, g_head, grad_of)
+                g_feat = g_in if g_feat is None else g_feat + g_in
+            self.trunk.backprop(x, acts[0], g_feat, grad_of, input_grad=False)
+            return (grad,)
+
+        return _make(out, who, (param,), bw)
+
+    def _split(self, out: Tensor) -> list[Tensor]:
+        """Each head's columns of a node output, in head order."""
+        if len(self.heads) == 1:
+            return [out]
+        parts, col = [], 0
+        for head in self.heads:
+            width = head.layers[-1].b.size
+            parts.append(slice_(out, col, col + width, axis=1))
+            col += width
+        return parts
+
+
+class PolicyNetwork(_TrunkHeads):
     """Shared trunk, one mean head per branch, per-branch trainable log-std."""
 
     def __init__(self, state_dim: int, branches: list[BranchSpec],
@@ -124,7 +237,7 @@ class PolicyNetwork:
         validate_branches(branches)
         self.state_dim = state_dim
         self.branches = list(branches)
-        self.trunk = Mlp([state_dim, *trunk_sizes], rng)
+        self.trunk = Mlp([state_dim, *trunk_sizes], rng, final_tanh=True)
         self.heads = []
         self.log_stds = []
         for b in branches:
@@ -134,19 +247,21 @@ class PolicyNetwork:
             self.heads.append(head)
             self.log_stds.append(Tensor(np.full(b.action_dims, math.log(b.init_sigma)),
                                         requires_grad=True))
+        self._pack()
 
     def forward(self, states: np.ndarray):
         """Per-branch (mean Tensor [B, dims], std Tensor [dims]) for a state batch."""
-        states = _state_batch(states, self.state_dim, "policy_forward")
-        feat = self.trunk(Tensor(states), final_tanh=True)
-        out = []
-        for head, log_std in zip(self.heads, self.log_stds):
-            mean = head(feat)
-            out.append((mean, exp(log_std)))
-        return out
+        means = self._split(self._outputs(states, "policy_forward"))
+        return [(mean, exp(log_std)) for mean, log_std in zip(means, self.log_stds)]
 
-    def tensors(self) -> list[Tensor]:
-        return list(self.named_tensors().values())
+    def means(self, states: np.ndarray) -> np.ndarray:
+        """Every branch's mean side by side, [B, action dims], in plain numpy:
+        the arithmetic of ``forward`` with no graph."""
+        return self._run(_state_batch(states, self.state_dim, "policy_means"))
+
+    def stds(self) -> list[np.ndarray]:
+        """Every branch's standard deviation, exp(log_std), as a plain array."""
+        return [np.exp(log_std.data) for log_std in self.log_stds]
 
     def named_tensors(self) -> dict[str, Tensor]:
         named = self.trunk.named("trunk")
@@ -156,7 +271,7 @@ class PolicyNetwork:
         return named
 
 
-class CriticNetwork:
+class CriticNetwork(_TrunkHeads):
     """Shared trunk with one scalar value head per branch."""
 
     def __init__(self, state_dim: int, n_heads: int, rng: np.random.Generator,
@@ -165,27 +280,21 @@ class CriticNetwork:
             raise ValueError("critic needs at least one value head")
         self.state_dim = state_dim
         self.n_heads = n_heads
-        self.trunk = Mlp([state_dim, *trunk_sizes], rng)
-        self.heads = [Dense(trunk_sizes[-1], 1, rng, gain=1.0) for _ in range(n_heads)]
+        self.trunk = Mlp([state_dim, *trunk_sizes], rng, final_tanh=True)
+        self.heads = [Mlp([trunk_sizes[-1], 1], rng) for _ in range(n_heads)]
+        self._pack()
 
     def forward(self, states: np.ndarray) -> list[Tensor]:
-        states = _state_batch(states, self.state_dim, "critic_forward")
-        feat = self.trunk(Tensor(states), final_tanh=True)
-        return [head(feat) for head in self.heads]
+        return self._split(self._outputs(states, "critic_forward"))
 
     def values(self, states: np.ndarray) -> np.ndarray:
-        """Forward pass as a plain [B, n_heads] array (no graph)."""
-        with no_grad():
-            outs = self.forward(states)
-        return np.concatenate([o.data for o in outs], axis=1)
-
-    def tensors(self) -> list[Tensor]:
-        return list(self.named_tensors().values())
+        """Every head's value as a plain [B, n_heads] array (no graph)."""
+        return self._run(_state_batch(states, self.state_dim, "critic_values"))
 
     def named_tensors(self) -> dict[str, Tensor]:
         named = self.trunk.named("vtrunk")
         for hi, head in enumerate(self.heads):
-            named.update(head.named(f"vhead.{hi}"))
+            named.update(head.layers[0].named(f"vhead.{hi}"))
         return named
 
 
@@ -193,11 +302,14 @@ class CriticNetwork:
 # diagonal-Gaussian machinery
 # ----------------------------------------------------------------------
 
-def sample_action(branch_outputs, rng: np.random.Generator) -> np.ndarray:
-    """Draw one concatenated action vector from per-branch ([1, d] mean, std) pairs."""
-    parts = []
-    for mean, std in branch_outputs:
-        parts.append(mean.data[0] + std.data * rng.standard_normal(std.data.shape[0]))
+def sample_action(mean: np.ndarray, stds: list[np.ndarray],
+                  rng: np.random.Generator) -> np.ndarray:
+    """Draw one action vector around ``mean`` (every branch's mean side by
+    side), branch by branch: mean + std * standard-normal draws."""
+    parts, lo = [], 0
+    for std in stds:
+        parts.append(mean[lo:lo + std.shape[0]] + std * rng.standard_normal(std.shape[0]))
+        lo += std.shape[0]
     return np.concatenate(parts)
 
 
@@ -285,7 +397,8 @@ class Checkpoint:
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"{self.path}: checkpoint entry {key}: shape {arr.shape} "
                                  f"!= expected {tensor.data.shape}")
-            tensor.data = arr.astype(np.float64)
+            # in place: an optimizer's buffer and the network read these arrays
+            tensor.data[...] = arr
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -34,14 +34,15 @@ def finite_diff_check(f, params, h=1e-5, floor=1e-6):
     values. The floor keeps noise on near-zero gradient components from
     dominating the relative error.
     """
+    # zeroed in place: a packed parameter's grad is a view of its flat leaf's
     for p in params:
-        p.grad = None
+        if p.grad is not None:
+            p.grad[...] = 0.0
     loss = f()
     ad.backward(loss)
     worst = 0.0
     for p in params:
         analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        p.grad = None
         numeric = np.zeros_like(p.data)
         for idx in np.ndindex(p.data.shape):
             p.data[idx] += h

@@ -269,6 +269,44 @@ def test_update_moves_parameters():
     assert moved > len(agent.params) // 2
 
 
+def test_fused_acting_matches_policy_forward():
+    # act and mean_action run the forward's arrays in plain numpy and draw
+    # from the agent's rng as sampling from the forward's outputs does
+    env = stub_env(seed=26)
+    agent = make_agent(seed=9, cfg=UpdateConfig(epochs=1))
+    agent.update(*collect(env, agent))  # log-stds off their initial values
+    states = np.random.default_rng(10).standard_normal((5, EpisodeConfig().state_dim))
+    for state in states:
+        with ad.no_grad():
+            outs = agent.policy.forward(state)
+        mean = np.concatenate([m.data[0] for m, _ in outs])
+        assert np.array_equal(agent.mean_action(state), mean)
+        draws = np.random.default_rng()
+        draws.bit_generator.state = agent.rng.bit_generator.state
+        expected = np.concatenate([m.data[0] + s.data * draws.standard_normal(s.shape[0])
+                                   for m, s in outs])
+        assert np.array_equal(agent.act(state), expected)
+        assert agent.rng.bit_generator.state == draws.bit_generator.state
+
+
+def test_loaded_agent_updates_to_the_same_bits(tmp_path):
+    # a checkpoint is written into the optimizer's buffer, which the networks
+    # read and the update steps
+    episode = collect(stub_env(seed=27), make_agent(seed=11))
+    agent = make_agent(seed=11, cfg=UpdateConfig(epochs=2))
+    path = tmp_path / "agent.npz"
+    agent.save(path)
+    loaded = make_agent(seed=11, cfg=UpdateConfig(epochs=2))
+    for t in loaded.params:
+        t.data += 1.0
+    loaded.load(path)
+    layouts = {k: t.data.flags.f_contiguous for k, t in agent.named_tensors().items()}
+    assert {k: t.data.flags.f_contiguous for k, t in loaded.named_tensors().items()} == layouts
+    assert agent.update(*episode) == loaded.update(*episode)
+    for p, q in zip(agent.params, loaded.params):
+        assert np.array_equal(p.data, q.data)
+
+
 def test_shared_advantage_uses_single_value_head():
     agent = make_agent(seed=6, shared=True)
     assert agent.critic.n_heads == 1

@@ -427,7 +427,7 @@ def test_gru_zero_params_zero_state():
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad = np.zeros(2)
+    p.grad[...] = 0.0
     opt.step()
     assert np.array_equal(p.data, [1.0, -2.0])
 
@@ -436,7 +436,7 @@ def test_adam_first_step_is_signed_lr():
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
     opt = Adam([p], lr=0.01)
-    p.grad = np.array([0.3, -4.0])
+    p.grad[...] = [0.3, -4.0]
     opt.step()
     assert p.data == pytest.approx([1.0 - 0.01, 1.0 + 0.01], abs=1e-6)
 
@@ -444,10 +444,10 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_repeated_identical_steps_shrink():
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad = np.array([1.0])
+    p.grad[...] = 1.0
     opt.step()
     first = abs(p.data[0])
-    p.grad = np.array([1.0])
+    p.grad[...] = 1.0
     opt.step()
     second = abs(p.data[0]) - first
     assert second < first  # second-moment growth damps the update
@@ -456,9 +456,10 @@ def test_adam_repeated_identical_steps_shrink():
 def test_adam_zeroes_grads_after_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad = np.array([1.0])
+    p.grad[...] = 1.0
     opt.step()
-    assert p.grad is None
+    assert np.array_equal(p.grad, [0.0])
+    assert p.grad.base is opt.param.grad  # zeroed in place, still a view of the buffer
 
 
 def test_adam_missing_state_slot_errors():
@@ -469,9 +470,52 @@ def test_adam_missing_state_slot_errors():
         opt.step()
 
 
+def test_fused_adam_matches_per_tensor_reference():
+    # one flat buffer gives the bits of Adam stepped tensor by tensor, on C-
+    # and Fortran-ordered parameters alike, and keeps each one's memory order
+    rng = np.random.default_rng(12)
+    arrays = [rng.standard_normal((3, 5)), np.asfortranarray(rng.standard_normal((4, 6))),
+              rng.standard_normal(7)]
+    params = [Tensor(a.copy(order="K"), requires_grad=True) for a in arrays]
+    ref = [a.copy(order="K") for a in arrays]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    assert params[1].data.flags.f_contiguous and not params[1].data.flags.c_contiguous
+    for t in range(1, 6):
+        grads = [rng.standard_normal(a.shape) for a in arrays]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        opt.step()
+        for a, (m, v), g in zip(ref, moments, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            a -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        for p, a in zip(params, ref):
+            assert np.array_equal(p.data, a)
+    assert params[1].data.flags.f_contiguous
+
+
+def test_adam_refuses_a_rebound_parameter():
+    # an array bound over a packed view is one the optimizer no longer steps
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    opt = Adam([p], lr=0.1)
+    p.grad = np.array([1.0, 1.0])
+    with pytest.raises(KeyError, match="not a view"):
+        opt.step()
+    q = Tensor(np.array([1.0]), requires_grad=True)
+    opt = Adam([q], lr=0.1)
+    q.data = np.array([1.0])
+    with pytest.raises(KeyError, match="not a view"):
+        opt.step()
+
+
 def test_clip_grad_norm_rescales():
     p = Tensor(np.zeros(4), requires_grad=True)
-    p.grad = np.full(4, 10.0)
-    norm = clip_grad_norm([p], 1.0)
+    opt = Adam([p], lr=0.1)
+    p.grad[...] = 10.0
+    norm = clip_grad_norm(opt, 1.0)
     assert norm == pytest.approx(20.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)

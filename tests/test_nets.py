@@ -88,7 +88,7 @@ def test_action_ordering_follows_branch_declaration():
         head.layers[-1].w.data[...] = 0.0
         head.layers[-1].b.data[...] = float(i + 1)
         net.log_stds[i].data[...] = -40.0  # effectively deterministic
-    action = sample_action(net.forward(np.zeros(3)), np.random.default_rng(0))
+    action = sample_action(net.means(np.zeros(3))[0], net.stds(), np.random.default_rng(0))
     assert action == pytest.approx([1.0, 2.0, 2.0], abs=1e-12)
 
 
@@ -102,24 +102,24 @@ def test_sample_action_zero_sigma_limit_is_mean():
         log_std.data[...] = -40.0
     outs = net.forward(np.ones(3))
     means = np.concatenate([m.data[0] for m, _ in outs])
-    action = sample_action(outs, np.random.default_rng(5))
+    action = sample_action(net.means(np.ones(3))[0], net.stds(), np.random.default_rng(5))
     assert action == pytest.approx(means, abs=1e-12)
 
 
 def test_sample_action_seeded_reproducibility():
     net = PolicyNetwork(3, two_branches(), np.random.default_rng(0))
-    outs = net.forward(np.ones(3))
-    a1 = [sample_action(outs, np.random.default_rng(7)) for _ in range(3)]
-    a2 = [sample_action(outs, np.random.default_rng(7)) for _ in range(3)]
+    mean = net.means(np.ones(3))[0]
+    a1 = [sample_action(mean, net.stds(), np.random.default_rng(7)) for _ in range(3)]
+    a2 = [sample_action(mean, net.stds(), np.random.default_rng(7)) for _ in range(3)]
     for x, y in zip(a1, a2):
         assert np.array_equal(x, y)
 
 
 def test_sample_action_monte_carlo_moments():
     # 1e5 standard-normal draws: mean within +-0.02, std within [0.98, 1.02]
-    outs = [(Tensor(np.zeros((1, 1))), Tensor(np.ones(1)))]
     rng = np.random.default_rng(11)
-    draws = np.array([sample_action(outs, rng)[0] for _ in range(100_000)])
+    draws = np.array([sample_action(np.zeros(1), [np.ones(1)], rng)[0]
+                      for _ in range(100_000)])
     assert abs(draws.mean()) < 0.02
     assert 0.98 < draws.std() < 1.02
 
@@ -200,8 +200,8 @@ def test_closed_forms_match_numerical_integration():
 
 def test_critic_zeroed_head_outputs_bias():
     net = CriticNetwork(4, 2, np.random.default_rng(0))
-    net.heads[0].w.data[...] = 0.0
-    net.heads[0].b.data[...] = -0.6
+    net.heads[0].layers[0].w.data[...] = 0.0
+    net.heads[0].layers[0].b.data[...] = -0.6
     vals = net.values(np.random.default_rng(1).standard_normal((5, 4)))
     assert np.allclose(vals[:, 0], -0.6)
 
@@ -216,8 +216,10 @@ def test_critic_head_gradients_are_disjoint():
     net = CriticNetwork(4, 2, np.random.default_rng(4))
     outs = net.forward(np.random.default_rng(5).standard_normal((6, 4)))
     backward(ad.mean_(outs[0]))
-    assert net.heads[0].w.grad is not None
-    assert net.heads[1].w.grad is None and net.heads[1].b.grad is None
+    # packed parameters always hold a gradient array: untouched means all zero
+    first, second = (head.layers[0] for head in net.heads)
+    assert np.any(first.w.grad)
+    assert not np.any(second.w.grad) and not np.any(second.b.grad)
 
 
 def test_critic_wrong_dim_errors():
@@ -242,10 +244,11 @@ def test_branch_head_gradients_are_disjoint_under_surrogate():
         assert found, prefix
         return found
 
-    assert any(t.grad is not None for t in group("head.width."))
-    assert all(t.grad is None for t in group("head.thickness."))
-    assert net.log_stds[1].grad is None
-    assert any(t.grad is not None for t in group("trunk."))
+    # packed parameters always hold a gradient array: untouched means all zero
+    assert any(np.any(t.grad) for t in group("head.width."))
+    assert not any(np.any(t.grad) for t in group("head.thickness."))
+    assert not np.any(net.log_stds[1].grad)
+    assert any(np.any(t.grad) for t in group("trunk."))
 
 
 # ----------------------------------------------------------------------
@@ -321,3 +324,89 @@ def test_checkpoint_missing_entry_names_file_and_entry(tmp_path):
                     {"fingerprint": "same"})
     with pytest.raises(ValueError, match=f"partial.npz.*param:{missing}"):
         load_checkpoint(path).restore(named, "same")
+
+
+# ----------------------------------------------------------------------
+# fused networks against the per-layer graph
+# ----------------------------------------------------------------------
+
+def _dense(params, name, x):
+    """``Dense.__call__`` on the tensors stored under ``name``."""
+    return ad.bias_add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+
+
+def _per_layer(params, prefix, n_layers, x, final_tanh):
+    """One Mlp call as the graph of Dense layers and tanh."""
+    for i in range(n_layers):
+        x = _dense(params, f"{prefix}.{i}", x)
+        if i < n_layers - 1 or final_tanh:
+            x = ad.tanh(x)
+    return x
+
+
+def _test_loss(means, log_stds, values, actions, targets):
+    """Gaussian log-densities of every branch plus a squared error per value head."""
+    loss, col = None, 0
+    for mean, log_std in zip(means, log_stds):
+        d = log_std.shape[0]
+        term = ad.mean_(gaussian_log_prob(mean, log_std, actions[:, col:col + d]))
+        col += d
+        loss = term if loss is None else loss + term
+    for h, v in enumerate(values):
+        loss = loss + ad.mean_(ad.square(ad.sub(v, Tensor(targets[:, h:h + 1]))))
+    return loss
+
+
+@pytest.mark.parametrize("batch", [1, 50, 64])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("hidden", [[32], []])
+def test_fused_networks_match_per_layer_graph(batch, shared, hidden):
+    # one node per network call gives the outputs and every named gradient of
+    # the per-layer graph, bit for bit, on the agent's packed parameters
+    from filmline.agent import MultiPathPpoAgent
+    branches = [BranchSpec("width", 1, init_sigma=0.5, hidden_sizes=list(hidden)),
+                BranchSpec("thickness", 2, init_sigma=0.3, hidden_sizes=list(hidden))]
+    agent = MultiPathPpoAgent(13, branches, seed=batch, shared_advantage=shared)
+    rng = np.random.default_rng(batch)
+    states = rng.standard_normal((batch, 13))
+    actions = rng.standard_normal((batch, 3))
+    targets = rng.standard_normal((batch, agent.critic.n_heads))
+    named = agent.named_tensors()
+    # 22 at the default layout; a shared critic drops a head, a one-layer head two tensors
+    assert len(named) == 22 - 2 * shared - 4 * (not hidden)
+    # the per-layer copies keep each array's memory order, as packing does
+    ref = {k: Tensor(np.copy(t.data, order="K"), requires_grad=True) for k, t in named.items()}
+    assert ref["trunk.0.w"].data.flags.f_contiguous == named["trunk.0.w"].data.flags.f_contiguous
+
+    outs = agent.policy.forward(states)
+    values = agent.critic.forward(states)
+    backward(_test_loss([m for m, _ in outs], agent.policy.log_stds, values, actions, targets))
+
+    x = Tensor(states)
+    feat = _per_layer(ref, "trunk", 2, x, True)
+    ref_means = [_per_layer(ref, f"head.{b.name}", len(hidden) + 1, feat, False)
+                 for b in branches]
+    ref_log_stds = [ref[f"log_std.{b.name}"] for b in branches]
+    vfeat = _per_layer(ref, "vtrunk", 2, x, True)
+    ref_values = [_dense(ref, f"vhead.{h}", vfeat) for h in range(agent.critic.n_heads)]
+    backward(_test_loss(ref_means, ref_log_stds, ref_values, actions, targets))
+
+    for (mean, _), ref_mean in zip(outs, ref_means):
+        assert np.array_equal(mean.data, ref_mean.data)
+    for v, ref_v in zip(values, ref_values):
+        assert np.array_equal(v.data, ref_v.data)
+    for k, t in named.items():
+        assert np.array_equal(t.grad, ref[k].grad), k
+        assert np.any(t.grad), k
+
+
+def test_fused_network_forward_needs_its_part_of_a_moved_buffer():
+    # packing the tensors elsewhere without handing the network its span
+    # would send its gradients to a buffer nobody steps
+    from filmline.optim import Adam
+    net = PolicyNetwork(4, two_branches(), np.random.default_rng(0))
+    Adam(net.tensors())
+    with pytest.raises(RuntimeError, match="span"):
+        net.forward(np.zeros((2, 4)))
+    with ad.no_grad():
+        net.forward(np.zeros((2, 4)))  # reading needs no leaf
