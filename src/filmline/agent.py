@@ -146,11 +146,7 @@ class MultiPathPpoAgent:
         self.critic = CriticNetwork(state_dim, n_heads, net_rng,
                                     trunk_sizes=list(self.cfg.trunk_sizes))
         self.params = list(self.named_tensors().values())
-        self.opt = Adam(self.params, lr=self.cfg.lr)
-        # the policy's tensors come first in the optimizer's buffer, then the critic's
-        split = self.policy.param.size
-        self.policy.param = ad.span(self.opt.param, 0, split)
-        self.critic.param = ad.span(self.opt.param, split, self.opt.param.size)
+        self.opt = Adam([self.policy.param, self.critic.param], lr=self.cfg.lr)
         self._offsets = np.cumsum([0] + [b.action_dims for b in branches])
 
     def branch_slice(self, i: int) -> slice:
@@ -264,7 +260,7 @@ class MultiPathPpoAgent:
                 f"non-finite update loss: policy={loss.data}, value={vf.data}, "
                 f"entropy={entropy_total.data}")
         ad.backward(total)
-        norm = clip_grad_norm(self.opt, cfg.grad_clip)
+        norm = clip_grad_norm(self.params, cfg.grad_clip)
         self.opt.step()
 
         stats["policy_loss"].append(float(loss.data))
@@ -287,10 +283,14 @@ class MultiPathPpoAgent:
         })
 
     def save(self, path):
+        """Write the parameters only, for evaluation: not Adam's moments and
+        step count nor ``rng``'s state, so an agent loaded from the file and
+        trained further does not continue this agent's run."""
         save_checkpoint(path, self.named_tensors(), {"fingerprint": self.fingerprint()})
 
     def load(self, path):
-        """Load parameters saved by an agent of the same configuration, in place."""
+        """Load parameters saved by an agent of the same configuration, in
+        place; the optimizer and ``rng`` keep their own state."""
         load_checkpoint(path).restore(self.named_tensors(), self.fingerprint())
 
 

@@ -13,8 +13,8 @@ anything richer (bias rows, per-column scaling) goes through a dedicated
 primitive so gradient shapes stay unambiguous.
 
 ``pack`` moves parameters into one flat leaf whose ``data`` and ``grad``
-they view, in their own memory order; ``optim.Adam`` steps that buffer and
-the agent's networks differentiate their part of it as one leaf each.
+they view, in their own memory order; each of the agent's networks
+differentiates its leaf as one node.
 
 The forecaster's primitives (``matmul``, ``concat``, ``conv1d``,
 ``max_pool1d``, and the recurrent scans in ``cells``) also take leading lane
@@ -184,13 +184,6 @@ def pack(tensors) -> Tensor:
         t.data, t.grad = view, flat_view(leaf.grad, start, t.data)
         start += t.size
     return leaf
-
-
-def span(leaf: Tensor, start: int, stop: int) -> Tensor:
-    """The leaf over elements [start, stop) of a packed leaf: data and grad are views."""
-    part = Tensor(leaf.data[start:stop], requires_grad=True)
-    part.grad = leaf.grad[start:stop]
-    return part
 
 
 # ----------------------------------------------------------------------

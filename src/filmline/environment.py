@@ -34,10 +34,19 @@ class Objective(NamedTuple):
     cols: slice           # its set-points among (knife, DS gap, OS gap)
     far: float            # a start this far from the target counts as away from it
     start_margin: float   # a start's desired reading keeps this far inside the reach
+    offset_band: tuple    # |start offset| from the target, drawn uniformly in this band
+    near_band: tuple      # the same for a start drawn near the target
 
 
-OBJECTIVES = (Objective("width", WIDTH_TOLERANCE, slice(0, 1), 5.0, 1.0),
-              Objective("thickness", THICKNESS_TOLERANCE, slice(1, 3), 0.25, 0.02))
+OBJECTIVES = (Objective("width", WIDTH_TOLERANCE, slice(0, 1), 5.0, 1.0,
+                        (6.0, 28.0), (1.5, 5.0)),
+              Objective("thickness", THICKNESS_TOLERANCE, slice(1, 3), 0.25, 0.02,
+                        (0.26, 0.5), (0.08, 0.24)))
+
+# share of starts drawn near one objective's target (never both), split evenly
+# between the two, so fine positioning shows up in the data from the first
+# episodes on
+NEAR_START_FRACTION = 0.4
 
 
 @dataclass
@@ -80,14 +89,6 @@ class EpisodeConfig:
     knife_bounds: tuple = (360.0, 500.0)
     gap_bounds: tuple = (1.8, 3.6)
     history: int = 4
-    # |initial error| sampling bands, clamped to the reachable range; episodes
-    # may start near one objective's target (never both), so fine positioning
-    # shows up in the data from the first episodes on
-    init_width_offset: tuple = (6.0, 28.0)
-    init_thickness_offset: tuple = (0.26, 0.5)
-    init_width_near: tuple = (1.5, 5.0)
-    init_thickness_near: tuple = (0.08, 0.24)
-    near_start_fraction: float = 0.4  # split evenly between the two objectives
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -97,8 +98,6 @@ class EpisodeConfig:
         if self.knife_scale <= 0 or self.gap_scale <= 0:
             raise ValueError("episode: action scales must be > 0")
         check_actuator_bounds("episode", self)
-        if not 0.0 <= self.near_start_fraction <= 1.0:
-            raise ValueError("episode: near_start_fraction must be in [0, 1]")
 
     @property
     def state_dim(self) -> int:
@@ -418,7 +417,7 @@ class FilmLineEnv:
         drawn near that objective's target."""
         ep = self.episode
         rng = self._rng
-        half = 0.5 * ep.near_start_fraction
+        half = 0.5 * NEAR_START_FRACTION
         draw = rng.random()
         near = [i * half <= draw < (i + 1) * half for i in range(len(OBJECTIVES))]
 
@@ -427,8 +426,7 @@ class FilmLineEnv:
         for obj, is_near, (lo, hi), inverse, bounds in zip(
                 OBJECTIVES, near, self._spans, self._inverses,
                 (ep.knife_bounds, ep.gap_bounds)):
-            band = getattr(ep, f"init_{obj.name}_{'near' if is_near else 'offset'}")
-            mag = rng.uniform(*band)
+            mag = rng.uniform(*(obj.near_band if is_near else obj.offset_band))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             desired = np.clip(getattr(ep, f"{obj.name}_target") + sign * mag,
                               lo + obj.start_margin, hi - obj.start_margin)

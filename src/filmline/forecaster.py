@@ -349,7 +349,7 @@ def train_forecaster(cfg: ForecasterConfig, dataset: SeriesDataset, target_name:
             best_val = val_mae
             best_snap = params.snapshot()
     params.restore(best_snap)
-    for t in params.tensors():  # a trained model keeps no view of the optimizer's gradients
+    for t in params.tensors():  # a trained model carries no gradient arrays
         t.grad = None
     return model, trace
 

@@ -157,12 +157,11 @@ class _TrunkHeads:
 
     ``param`` is the flat leaf that node differentiates: every tensor of
     ``named_tensors()`` is a view of it, back to back in that order
-    (``autodiff.pack``). An optimizer that packs them into its own buffer
-    hands the network its part of that buffer with ``autodiff.span``. The
-    node's output is every head's output side by side, ``[B, sum of head
-    widths]``; the trunk input is a constant state batch, so it gets no
-    gradient. The heads' input gradients are summed in head order; the
-    per-layer graph sums two the same way, and no configuration has more.
+    (``autodiff.pack``), from construction on. The node's output is every
+    head's output side by side, ``[B, sum of head widths]``; the trunk input
+    is a constant state batch, so it gets no gradient. The heads' input
+    gradients are summed in head order; the per-layer graph sums two the same
+    way, and no configuration has more.
     """
 
     state_dim: int
@@ -191,9 +190,6 @@ class _TrunkHeads:
         if not _GRAD_ENABLED[0]:
             return Tensor(self._run(x))
         param, heads = self.param, self.heads
-        if not np.may_share_memory(param.data, self.trunk.layers[0].w.data):
-            raise RuntimeError(f"{who}: the parameters were moved out of .param; give the "
-                               "network its part of the new buffer with autodiff.span")
         acts = [[] for _ in range(1 + len(heads))]
         out = self._run(x, acts)
 
@@ -397,7 +393,7 @@ class Checkpoint:
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"{self.path}: checkpoint entry {key}: shape {arr.shape} "
                                  f"!= expected {tensor.data.shape}")
-            # in place: an optimizer's buffer and the network read these arrays
+            # in place: a network's tensors are views of its flat leaf
             tensor.data[...] = arr
 
 

@@ -1,22 +1,20 @@
-"""Adam over one flat buffer of autodiff tensors, plus global gradient-norm clipping."""
+"""Adam over autodiff tensors, plus global gradient-norm clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, pack
+from .autodiff import Tensor
 
 
 class Adam:
-    """Standard Adam with bias correction, stepping one flat buffer.
+    """Standard Adam with bias correction, stepping each tensor it is given.
 
-    Construction packs ``params`` into one flat leaf, ``self.param``
-    (``autodiff.pack``): every parameter's ``data`` and ``grad`` are views of
-    its ``data`` and ``grad`` from then on, in the parameter's own memory
-    order. ``step()`` updates the whole buffer with a few array operations
-    and zeroes the gradients in place. A parameter whose ``data`` or ``grad``
-    was rebound to another array since, or one added to ``params`` later, has
-    no place in the buffer: ``step()`` refuses it.
+    Each parameter keeps one pair of moment arrays. ``step()`` updates every
+    parameter's ``data`` in place and zeroes its ``grad`` in place, so views
+    of either (a network's flat leaf and the tensors packed into it) stay
+    valid. A parameter that no gradient has reached yet steps as if its
+    gradient were zero, and keeps that zeroed array as its ``grad``.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
@@ -27,43 +25,38 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.param = pack(self.params)
-        ends = np.cumsum([p.size for p in self.params])
-        self.bounds = [(int(end) - p.size, int(end)) for p, end in zip(self.params, ends)]
-        self._m = np.zeros_like(self.param.data)
-        self._v = np.zeros_like(self.param.data)
+        self._moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in self.params]
 
     def step(self):
-        data, g = self.param.data, self.param.grad
-        for i, p in enumerate(self.params):
-            if p.data.base is not data or p.grad is None or p.grad.base is not g:
-                raise KeyError(f"Adam.step: parameter {i} {p.shape} is not a view of the "
-                               "optimizer's buffer; write into .data and .grad in place")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-        g.fill(0.0)
+        for p, (m, v) in zip(self.params, self._moments):
+            g = p.grad
+            if g is None:  # no gradient has reached it yet
+                g = p.grad = np.zeros_like(p.data)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            g.fill(0.0)
 
 
-def clip_grad_norm(opt: Adam, max_norm: float) -> float:
-    """Rescale the optimizer's gradients in place so their joint norm is at
+def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
+    """Rescale the gradients of ``params`` in place so their joint norm is at
     most max_norm; returns the norm before clipping.
 
-    Each parameter's squares are summed on their own, then added in
-    parameter order, as a loop over the tensors would.
+    Each parameter's squares are summed on their own, in the parameter's
+    memory order, then added in parameter order.
     """
-    g = opt.param.grad
-    squares = g * g
     total = 0.0
-    for start, stop in opt.bounds:
-        total += float(np.add.reduce(squares[start:stop]))  # np.sum without its wrapper
+    for p in params:
+        g = p.grad.ravel(order="K")  # a view: a Fortran-ordered gradient sums column by column
+        total += float(np.add.reduce(g * g))  # np.sum without its wrapper
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
-        g *= max_norm / norm
+        scale = max_norm / norm
+        for p in params:
+            p.grad *= scale
     return norm

@@ -425,18 +425,21 @@ def test_gru_zero_params_zero_state():
 # ----------------------------------------------------------------------
 
 def test_adam_zero_gradient_leaves_params_unchanged():
+    # a zero gradient, or none at all (no backward reached the tensor), moves nothing
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    p.grad[...] = 0.0
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    opt = Adam([p, q], lr=0.1)
+    p.grad = np.zeros(2)
     opt.step()
     assert np.array_equal(p.data, [1.0, -2.0])
+    assert np.array_equal(q.data, [3.0]) and np.array_equal(q.grad, [0.0])
 
 
 def test_adam_first_step_is_signed_lr():
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
     opt = Adam([p], lr=0.01)
-    p.grad[...] = [0.3, -4.0]
+    p.grad = np.array([0.3, -4.0])
     opt.step()
     assert p.data == pytest.approx([1.0 - 0.01, 1.0 + 0.01], abs=1e-6)
 
@@ -444,7 +447,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_repeated_identical_steps_shrink():
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad[...] = 1.0
+    p.grad = np.array([1.0])
     opt.step()
     first = abs(p.data[0])
     p.grad[...] = 1.0
@@ -456,66 +459,85 @@ def test_adam_repeated_identical_steps_shrink():
 def test_adam_zeroes_grads_after_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad[...] = 1.0
+    p.grad = grad = np.array([1.0])
     opt.step()
     assert np.array_equal(p.grad, [0.0])
-    assert p.grad.base is opt.param.grad  # zeroed in place, still a view of the buffer
-
-
-def test_adam_missing_state_slot_errors():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    opt.params.append(Tensor(np.array([2.0]), requires_grad=True))
-    with pytest.raises(KeyError):
-        opt.step()
+    assert p.grad is grad  # zeroed in place
+    # a packed leaf's tensors view its gradient, so they read zero too
+    parts = [Tensor(np.array([1.0, 2.0]), requires_grad=True), Tensor(np.array([3.0]))]
+    leaf = ad.pack(parts)
+    opt = Adam([leaf], lr=0.1)
+    for part in parts:
+        part.grad[...] = 1.0
+    opt.step()
+    assert np.array_equal(leaf.grad, [0.0, 0.0, 0.0])
+    assert all(part.grad.base is leaf.grad and not np.any(part.grad) for part in parts)
 
 
 def test_fused_adam_matches_per_tensor_reference():
-    # one flat buffer gives the bits of Adam stepped tensor by tensor, on C-
-    # and Fortran-ordered parameters alike, and keeps each one's memory order
+    # Adam gives each tensor the bits of the reference update, stepped on its
+    # own or as a view of a packed leaf (as the agent steps each network), on
+    # C- and Fortran-ordered parameters alike, and keeps each one's memory order
     rng = np.random.default_rng(12)
     arrays = [rng.standard_normal((3, 5)), np.asfortranarray(rng.standard_normal((4, 6))),
               rng.standard_normal(7)]
     params = [Tensor(a.copy(order="K"), requires_grad=True) for a in arrays]
+    packed = [Tensor(a.copy(order="K"), requires_grad=True) for a in arrays]
+    leaf = ad.pack(packed)
     ref = [a.copy(order="K") for a in arrays]
     moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    assert params[1].data.flags.f_contiguous and not params[1].data.flags.c_contiguous
+    leaf_opt = Adam([leaf], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for p in params:  # as the first backward would
+        p.grad = np.zeros_like(p.data)
+    for p in (params[1], packed[1]):
+        assert p.data.flags.f_contiguous and not p.data.flags.c_contiguous
     for t in range(1, 6):
         grads = [rng.standard_normal(a.shape) for a in arrays]
-        for p, g in zip(params, grads):
+        for p, q, g in zip(params, packed, grads):
             p.grad[...] = g
+            q.grad[...] = g
         opt.step()
+        leaf_opt.step()
         for a, (m, v), g in zip(ref, moments, grads):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
             a -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-        for p, a in zip(params, ref):
+        for p, q, a in zip(params, packed, ref):
             assert np.array_equal(p.data, a)
+            assert np.array_equal(q.data, a)
     assert params[1].data.flags.f_contiguous
-
-
-def test_adam_refuses_a_rebound_parameter():
-    # an array bound over a packed view is one the optimizer no longer steps
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    p.grad = np.array([1.0, 1.0])
-    with pytest.raises(KeyError, match="not a view"):
-        opt.step()
-    q = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([q], lr=0.1)
-    q.data = np.array([1.0])
-    with pytest.raises(KeyError, match="not a view"):
-        opt.step()
+    assert packed[1].data.flags.f_contiguous and packed[1].data.base is leaf.data
 
 
 def test_clip_grad_norm_rescales():
     p = Tensor(np.zeros(4), requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    p.grad[...] = 10.0
-    norm = clip_grad_norm(opt, 1.0)
+    p.grad = np.full(4, 10.0)
+    grad = p.grad
+    norm = clip_grad_norm([p], 1.0)
     assert norm == pytest.approx(20.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+    assert p.grad is grad  # scaled in place
+
+
+def test_clip_grad_norm_sums_a_packed_parameter_in_memory_order():
+    # the agent clips the tensors packed into its networks' leaves: a
+    # Fortran-ordered one sums as its flat segment of the leaf, whose bits
+    # differ from a C-order sum here, and the leaf's gradient scales in place
+    rng = np.random.default_rng(0)
+    params = [Tensor(rng.standard_normal(7), requires_grad=True),
+              Tensor(np.asfortranarray(rng.standard_normal((5, 9))), requires_grad=True)]
+    leaf = ad.pack(params)
+    assert params[1].grad.flags.f_contiguous and not params[1].grad.flags.c_contiguous
+    leaf.grad[...] = 100.0 * rng.standard_normal(leaf.size)
+    g = leaf.grad.copy()
+    sums = [np.add.reduce(g[:7] * g[:7]), np.add.reduce(g[7:] * g[7:])]
+    c_order = np.ascontiguousarray(params[1].grad)
+    assert np.add.reduce((c_order * c_order).ravel()) != sums[1]
+    norm = clip_grad_norm(params, 1.0)
+    assert norm == float(np.sqrt(float(sums[0]) + float(sums[1])))
+    assert np.array_equal(leaf.grad, g * (1.0 / norm))
+    assert all(p.grad.base is leaf.grad for p in params)

@@ -85,6 +85,11 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
     ("reward", "use_action_penalty", "false"),
     ("reward", "use_steady", "false"),
     ("experiment", "dataset_excitation", "steps"),
+    ("env", "init_width_offset", "[6, 28]"),
+    ("env", "init_thickness_offset", "[0.26, 0.5]"),
+    ("env", "init_width_near", "[1.5, 5]"),
+    ("env", "init_thickness_near", "[0.08, 0.24]"),
+    ("env", "near_start_fraction", "1.5"),
 ])
 def test_removed_config_keys_are_rejected_by_name(tmp_path, section, key, value):
     path = tmp_path / "cfg.ini"
@@ -209,7 +214,6 @@ def test_out_of_range_value_is_rejected(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("env", "knife_bounds", "[500, 360]"),
     ("plant", "gap_bounds", "[3.6, 1.8]"),
-    ("env", "near_start_fraction", "1.5"),
 ])
 def test_actuator_bounds_and_start_fraction_are_range_checked(tmp_path, section, key, value):
     path = tmp_path / "cfg.ini"

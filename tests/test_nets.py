@@ -273,7 +273,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_parameter_names_and_order_are_the_checkpoint_layout():
-    # checkpoint keys, Adam's slot order and clip_grad_norm's summation order follow these
+    # checkpoint keys, each network's leaf layout and clip_grad_norm's summation order follow these
     rng = np.random.default_rng(0)
     policy = PolicyNetwork(4, two_branches(), rng, trunk_sizes=[6, 6])
     head = [f"{i}.{p}" for i in range(2) for p in "wb"]
@@ -398,15 +398,3 @@ def test_fused_networks_match_per_layer_graph(batch, shared, hidden):
     for k, t in named.items():
         assert np.array_equal(t.grad, ref[k].grad), k
         assert np.any(t.grad), k
-
-
-def test_fused_network_forward_needs_its_part_of_a_moved_buffer():
-    # packing the tensors elsewhere without handing the network its span
-    # would send its gradients to a buffer nobody steps
-    from filmline.optim import Adam
-    net = PolicyNetwork(4, two_branches(), np.random.default_rng(0))
-    Adam(net.tensors())
-    with pytest.raises(RuntimeError, match="span"):
-        net.forward(np.zeros((2, 4)))
-    with ad.no_grad():
-        net.forward(np.zeros((2, 4)))  # reading needs no leaf
