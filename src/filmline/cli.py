@@ -50,8 +50,7 @@ def cmd_train_forecaster(args):
 def cmd_train_agent(args):
     cfg = load_config(args.config)
     models = train_or_load_forecasters(cfg, args.out_dir)
-    scenario = parse_scenario(args.scenario)
-    rec = run_cell(cfg, models, args.variant, scenario, args.steps, args.seed,
+    rec = run_cell(cfg, models, args.variant, args.scenario, args.steps, args.seed,
                    out_dir=args.out_dir)
     if rec.failed:
         print(f"run failed: {rec.error}")
@@ -81,7 +80,7 @@ def cmd_run_ablations(args):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config)
-    scenario = tuple(parse_scenario(args.scenario))
+    scenario = tuple(args.scenario)
     episode_cfg = replace(cfg.env, width_target=scenario[0], thickness_target=scenario[1],
                           max_steps=args.steps)
     branches, shared, reward_cfg = variant_setup(args.variant, cfg.agent, cfg.reward)
@@ -132,7 +131,7 @@ def main(argv=None):
     p = sub.add_parser("train-agent", help="train one grid cell")
     _add_common(p)
     p.add_argument("--variant", default="mpd-ppo", choices=harness.VARIANTS)
-    p.add_argument("--scenario", default="480/3.0")
+    p.add_argument("--scenario", default="480/3.0", metavar="WIDTH/THICKNESS", type=parse_scenario)
     p.add_argument("--steps", type=int, default=100)
     p.set_defaults(func=cmd_train_agent)
 
@@ -147,7 +146,7 @@ def main(argv=None):
     p = sub.add_parser("evaluate", help="evaluate a stored checkpoint")
     _add_common(p)
     p.add_argument("--variant", default="mpd-ppo", choices=harness.VARIANTS)
-    p.add_argument("--scenario", default="480/3.0")
+    p.add_argument("--scenario", default="480/3.0", metavar="WIDTH/THICKNESS", type=parse_scenario)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--oracle", action="store_true",

@@ -13,7 +13,7 @@ configured weights and clipped to a fixed range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -104,42 +104,27 @@ class EpisodeConfig:
         return 2 * (3 + self.history) + 3
 
 
-@dataclass
-class ObjectiveState:
-    """Tracking bookkeeping for one quality objective within an episode."""
-
-    name: str
-    value: float            # current predicted value, mm
-    target: float
-    tolerance: float
-    error: float            # |value - target| / tolerance
-    best_error: float       # minimum error seen this episode
-    prev_signed: float      # previous signed normalized error
-    setpoints: np.ndarray   # current control values (mm) of this objective's actuators
-    prev_setpoints: np.ndarray
-    action_scales: np.ndarray  # mm per unit action, one per actuator
-    history: list = field(default_factory=list)  # previous signed errors, newest first
-
-    @property
-    def signed(self) -> float:
-        return (self.value - self.target) / self.tolerance
+# the four terms reward_components returns, in its order
+REWARD_TERMS = ("r_error", "r_progress", "p_action", "r_steady")
 
 
-def reward_components(obj: ObjectiveState, cfg: RewardConfig) -> tuple:
+def reward_components(error: float, best_error: float, moves: np.ndarray,
+                      cfg: RewardConfig) -> tuple:
     """(R_error, R_progress, P_action, R_steady) for one objective.
 
-    The action penalty is measured in unitless scaled-action increments so
-    the coarse and fine actuators are penalized on the same footing. The
+    ``error`` is the objective's |value - target| / tolerance and
+    ``best_error`` the least error earlier in the episode. ``moves`` are its
+    actuators' applied moves in unitless action units, after bound clamping,
+    so the coarse and fine actuators are penalized on the same footing. The
     steady bonus applies only inside the threshold.
     """
-    r_error = cfg.error_coef * np.exp(-obj.error)
-    r_progress = cfg.progress_coef * np.tanh(obj.best_error - obj.error)
-    delta = (obj.setpoints - obj.prev_setpoints) / obj.action_scales
-    p_action = -cfg.action_penalty_coef * float(np.sum(delta * delta))
-    if obj.error >= cfg.steady_threshold:
+    r_error = cfg.error_coef * np.exp(-error)
+    r_progress = cfg.progress_coef * np.tanh(best_error - error)
+    p_action = -cfg.action_penalty_coef * float(np.sum(moves * moves))
+    if error >= cfg.steady_threshold:
         r_steady = 0.0
     else:
-        r_steady = cfg.steady_coef * (cfg.steady_threshold - obj.error)
+        r_steady = cfg.steady_coef * (cfg.steady_threshold - error)
     return float(r_error), float(r_progress), float(p_action), float(r_steady)
 
 
@@ -330,9 +315,15 @@ class FilmLineEnv:
         self._scales = np.array([episode.knife_scale, episode.gap_scale, episode.gap_scale])
         self._lo, self._hi = np.array([episode.knife_bounds, episode.gap_bounds,
                                        episode.gap_bounds]).T
+        self._targets = (episode.width_target, episode.thickness_target)  # OBJECTIVES order
         self._probe_response()
         self._check_targets()
-        self._objectives: list[ObjectiveState] = []
+        # where each target sits in its reachable span, a constant state feature
+        self._reach = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(self._targets, self._spans)]
+        # per objective, in OBJECTIVES order: the signed normalized error
+        # (value - target) / tolerance, the one before it, the least |error| of
+        # the episode so far, and the earlier signed errors, newest first
+        self._signed = self._prev_signed = self._best = self._history = []
         self._setpoints = np.zeros(3)
         self._steps = 0
 
@@ -378,21 +369,18 @@ class FilmLineEnv:
         self._spans = ((min(widths), max(widths)), (min(heights), max(heights)))
 
     def _check_targets(self):
-        for obj, (lo, hi) in zip(OBJECTIVES, self._spans):
-            target = getattr(self.episode, f"{obj.name}_target")
+        for obj, target, (lo, hi) in zip(OBJECTIVES, self._targets, self._spans):
             if not lo + obj.tolerance <= target <= hi - obj.tolerance:
                 raise ValueError(f"{obj.name} target {target} outside reachable range "
                                  f"[{lo:.2f}, {hi:.2f}]")
 
     # -- episode API ------------------------------------------------------
     def reset(self) -> np.ndarray:
-        ep = self.episode
-        targets = [getattr(ep, f"{obj.name}_target") for obj in OBJECTIVES]
         for _ in range(50):
             setpoints, near = self._sample_initial_setpoints()
             values = self.backend.reset(*setpoints)
             far = [abs(v - target) >= obj.far
-                   for obj, v, target in zip(OBJECTIVES, values, targets)]
+                   for obj, v, target in zip(OBJECTIVES, values, self._targets)]
             # away from every target it was not drawn near, and from at least one
             if all(f or n for f, n in zip(far, near)) and any(far):
                 break
@@ -400,15 +388,10 @@ class FilmLineEnv:
             raise RuntimeError("could not sample an initial state away from the targets")
 
         self._setpoints = np.array(setpoints)
-        self._objectives = []
-        for obj, value, target in zip(OBJECTIVES, values, targets):
-            signed = (value - target) / obj.tolerance
-            self._objectives.append(ObjectiveState(
-                name=obj.name, value=value, target=target, tolerance=obj.tolerance,
-                error=abs(signed), best_error=abs(signed), prev_signed=signed,
-                setpoints=self._setpoints[obj.cols].copy(),
-                prev_setpoints=self._setpoints[obj.cols].copy(),
-                action_scales=self._scales[obj.cols], history=[signed] * ep.history))
+        self._signed = self._prev_signed = [(v - target) / obj.tolerance for obj, v, target
+                                            in zip(OBJECTIVES, values, self._targets)]
+        self._best = [abs(e) for e in self._signed]
+        self._history = [[e] * self.episode.history for e in self._signed]
         self._steps = 0
         return self._state_vector()
 
@@ -423,13 +406,12 @@ class FilmLineEnv:
 
         # per objective: an offset from the target, inverted to its set-point
         base = []
-        for obj, is_near, (lo, hi), inverse, bounds in zip(
-                OBJECTIVES, near, self._spans, self._inverses,
+        for obj, is_near, target, (lo, hi), inverse, bounds in zip(
+                OBJECTIVES, near, self._targets, self._spans, self._inverses,
                 (ep.knife_bounds, ep.gap_bounds)):
             mag = rng.uniform(*(obj.near_band if is_near else obj.offset_band))
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            desired = np.clip(getattr(ep, f"{obj.name}_target") + sign * mag,
-                              lo + obj.start_margin, hi - obj.start_margin)
+            desired = np.clip(target + sign * mag, lo + obj.start_margin, hi - obj.start_margin)
             base.append(float(np.clip(inverse(desired), *bounds)))
         knife, gap = base
         asym = rng.uniform(-0.02, 0.02)
@@ -439,7 +421,7 @@ class FilmLineEnv:
 
     def step(self, action: np.ndarray):
         """Apply a 3-dim action in [-1, 1]; returns (state, reward, done, info)."""
-        if not self._objectives:
+        if not self._signed:
             raise RuntimeError("step() before reset()")
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.ACTION_DIM,):
@@ -457,28 +439,25 @@ class FilmLineEnv:
         w, h = self.backend.step(new[0], new[1], new[2])
         self._steps += 1
 
-        components = []
-        for obj, value, spec in zip(self._objectives, (w, h), OBJECTIVES):
-            prev_signed = obj.signed
-            obj.value = value
-            obj.prev_setpoints = old[spec.cols].copy()
-            obj.setpoints = new[spec.cols].copy()
-            obj.error = abs(obj.signed)
-            comp = reward_components(obj, self.reward_cfg)
-            components.append(comp)
-            obj.best_error = min(obj.best_error, obj.error)
-            obj.prev_signed = prev_signed
-            obj.history = ([prev_signed] + obj.history)[:ep.history]
+        signed = [(v - target) / obj.tolerance
+                  for obj, v, target in zip(OBJECTIVES, (w, h), self._targets)]
+        errors = [abs(e) for e in signed]
+        components = [reward_components(e, best, applied_units[obj.cols], self.reward_cfg)
+                      for obj, e, best in zip(OBJECTIVES, errors, self._best)]
+        self._best = [min(best, e) for best, e in zip(self._best, errors)]
+        self._history = [([prev] + hist)[:ep.history]
+                         for prev, hist in zip(self._signed, self._history)]
+        self._prev_signed, self._signed = self._signed, signed
 
         reward = total_reward(components, self.reward_cfg)
-        within = [o.error <= 1.0 for o in self._objectives]  # boundary qualifies
+        within = [e <= 1.0 for e in errors]  # boundary qualifies
         done = all(within) or self._steps >= ep.max_steps
         info = {
             "step": self._steps,
             "width": w, "thickness": h,
             "width_error_mm": w - ep.width_target,
             "thickness_error_mm": h - ep.thickness_target,
-            "components": {o.name: c for o, c in zip(self._objectives, components)},
+            "components": {obj.name: c for obj, c in zip(OBJECTIVES, components)},
             "within_tolerance": all(within),
             "applied_action_units": applied_units,
         }
@@ -488,22 +467,18 @@ class FilmLineEnv:
     def _state_vector(self) -> np.ndarray:
         ep = self.episode
         feats = []
-        for obj, (lo, hi) in zip(self._objectives, self._spans):
-            signed = obj.signed
+        for signed, prev, reach, history in zip(self._signed, self._prev_signed, self._reach,
+                                                self._history):
             feats.append(_squash(signed))
-            feats.append(float(np.tanh((signed - obj.prev_signed) / 2.0)))
-            feats.append((obj.target - lo) / (hi - lo))
-            feats.extend(_squash(h) for h in obj.history)
+            feats.append(float(np.tanh((signed - prev) / 2.0)))
+            feats.append(reach)
+            feats.extend(_squash(h) for h in history)
         feats.extend(((self._setpoints - self._lo) / (self._hi - self._lo)).tolist())
         state = np.asarray(feats, dtype=np.float64)
         if state.shape != (ep.state_dim,):
             raise RuntimeError(f"state vector has shape {state.shape}, "
                                f"expected ({ep.state_dim},)")
         return state
-
-    @property
-    def objectives(self) -> list[ObjectiveState]:
-        return self._objectives
 
 
 def _affine_inverse(response: str, x_lo, x_hi, y_lo, y_hi):

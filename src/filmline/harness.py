@@ -23,7 +23,9 @@ import numpy as np
 from .agent import (
     MultiPathPpoAgent, UpdateConfig, default_branches, evaluate_greedy, train_agent,
 )
-from .environment import OBJECTIVES, EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
+from .environment import (
+    OBJECTIVES, REWARD_TERMS, EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig,
+)
 from .forecaster import (
     ForecasterConfig, LstnetModel, SeriesDataset, evaluate_forecaster,
     linreg_baseline, train_forecaster,
@@ -385,9 +387,8 @@ def persist_record(out_dir: str, record: RunRecord, agent: MultiPathPpoAgent | N
     write_csv(os.path.join(d, "trace.csv"),
               ["step", "width", "thickness", "width_target", "thickness_target",
                "a_knife", "a_ds", "a_os",
-               "width_r_error", "width_r_progress", "width_p_action", "width_r_steady",
-               "thickness_r_error", "thickness_r_progress", "thickness_p_action",
-               "thickness_r_steady", "done"], trace_rows)
+               *(f"{obj.name}_{term}" for obj in OBJECTIVES for term in REWARD_TERMS),
+               "done"], trace_rows)
     meta = {name: getattr(record, name) for name in RECORD_JSON_FIELDS}
     with open(os.path.join(d, "record.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

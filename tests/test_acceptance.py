@@ -21,7 +21,7 @@ from filmline.agent import (
     UpdateConfig, clipped_surrogate, discounted_returns, gae_advantages, standardize,
 )
 from filmline.cells import GruParams, LstmParams, gru_cell, lstm_cell
-from filmline.environment import ObjectiveState, RewardConfig, reward_components, total_reward
+from filmline.environment import RewardConfig, reward_components, total_reward
 from filmline.forecaster import (
     ForecasterConfig, LstnetParams, evaluate_forecaster, linreg_baseline,
     lstnet_forward, train_forecaster,
@@ -165,11 +165,8 @@ def test_criterion_1_gradient_correctness():
 # ----------------------------------------------------------------------
 
 def _objective(error, best, delta_units=0.0):
-    return ObjectiveState(name="width", value=0.0, target=0.0, tolerance=1.0,
-                          error=error, best_error=best, prev_signed=0.0,
-                          setpoints=np.array([delta_units]),
-                          prev_setpoints=np.array([0.0]),
-                          action_scales=np.array([1.0]))
+    """reward_components' (error, best error, applied moves) for one knife move."""
+    return error, best, np.array([delta_units])
 
 
 def test_criterion_2_closed_form_suite():
@@ -183,14 +180,14 @@ def test_criterion_2_closed_form_suite():
     checks.append(abs(entropy_value([0.5, 0.5]) - expected_ent) < tol)
 
     cfg = RewardConfig()
-    r_e, r_p, p_a, r_s = reward_components(_objective(0.0, 0.0), cfg)
+    r_e, r_p, p_a, r_s = reward_components(*_objective(0.0, 0.0), cfg)
     checks.append(abs(r_e - 2.0) < tol and r_p == 0.0 and p_a == 0.0
                   and abs(r_s - 0.5) < tol)
-    r_e, *_ = reward_components(_objective(1.0, 1.0), cfg)
+    r_e, *_ = reward_components(*_objective(1.0, 1.0), cfg)
     checks.append(abs(r_e - 2.0 * math.exp(-1.0)) < tol)
-    *_, r_s = reward_components(_objective(0.5, 0.5), cfg)
+    *_, r_s = reward_components(*_objective(0.5, 0.5), cfg)
     checks.append(abs(r_s - 0.25) < tol)
-    _, _, p_a, _ = reward_components(_objective(1.0, 1.0, delta_units=0.5), cfg)
+    _, _, p_a, _ = reward_components(*_objective(1.0, 1.0, delta_units=0.5), cfg)
     checks.append(abs(p_a - (-0.05 * 0.25)) < tol)
     total = total_reward([(2.0, 0.0, 0.0, 0.5), (2.0, 0.0, 0.0, 0.5)], cfg)
     checks.append(abs(total - 2.5) < tol)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from filmline.environment import (
-    EpisodeConfig, FilmLineEnv, ForecastBackend, ObjectiveState, PlantBackend, RewardConfig,
+    OBJECTIVES, EpisodeConfig, FilmLineEnv, ForecastBackend, PlantBackend, RewardConfig,
     normalize_weights, oracle_eval, reward_components, run_episodes, total_reward,
 )
 from filmline.plant import (
@@ -32,14 +32,10 @@ class LinearBackend:
                 thickness_steady_state(self.params, ds, os_))
 
 
-def make_objective(error, best=None, delta=0.0, tolerance=1.0):
-    return ObjectiveState(
-        name="width", value=0.0, target=0.0, tolerance=tolerance,
-        error=error, best_error=error if best is None else best,
-        prev_signed=0.0,
-        setpoints=np.array([delta]), prev_setpoints=np.array([0.0]),
-        action_scales=np.array([1.0]),
-    )
+def components(error, best=None, moves=(0.0,)):
+    """reward_components at the default config; ``best`` defaults to ``error``."""
+    return reward_components(error, error if best is None else best, np.array(moves),
+                             RewardConfig())
 
 
 def env_with_stub(width_target=480.0, thickness_target=3.0, max_steps=50,
@@ -54,47 +50,49 @@ def env_with_stub(width_target=480.0, thickness_target=3.0, max_steps=50,
 # ----------------------------------------------------------------------
 
 def test_error_reward_at_zero_error():
-    r_e, r_p, p_a, r_s = reward_components(make_objective(0.0), RewardConfig())
+    r_e, r_p, p_a, r_s = components(0.0)
     assert r_e == pytest.approx(2.0, abs=1e-12)  # 2 * exp(0)
 
 
 def test_error_reward_at_unit_error():
-    r_e, *_ = reward_components(make_objective(1.0), RewardConfig())
+    r_e, *_ = components(1.0)
     assert r_e == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
     assert r_e == pytest.approx(0.7357588823428847, abs=1e-9)
 
 
 def test_progress_reward_zero_at_best():
-    _, r_p, _, _ = reward_components(make_objective(2.0, best=2.0), RewardConfig())
+    _, r_p, _, _ = components(2.0, best=2.0)
     assert r_p == 0.0
 
 
 def test_progress_reward_is_bounded():
     # strictly inside (-0.3, 0.3) wherever float64 tanh has not saturated to 1
     for err, best in [(0.0, 15.0), (15.0, 0.0), (3.0, 2.0), (1.0, 0.5)]:
-        _, r_p, _, _ = reward_components(make_objective(err, best=best), RewardConfig())
+        _, r_p, _, _ = components(err, best=best)
         assert abs(r_p) < 0.3
-    _, r_p, _, _ = reward_components(make_objective(1e6, best=0.0), RewardConfig())
+    _, r_p, _, _ = components(1e6, best=0.0)
     assert abs(r_p) <= 0.3  # saturated tanh rounds to exactly 1 at 64-bit
 
 
 def test_action_penalty_zero_without_movement():
-    _, _, p_a, _ = reward_components(make_objective(1.0, delta=0.0), RewardConfig())
+    _, _, p_a, _ = components(1.0, moves=(0.0,))
     assert p_a == 0.0
 
 
 def test_action_penalty_quadratic_in_units():
-    _, _, p_a, _ = reward_components(make_objective(1.0, delta=0.5), RewardConfig())
+    _, _, p_a, _ = components(1.0, moves=(0.5,))
     assert p_a == pytest.approx(-0.05 * 0.25, abs=1e-12)
+    _, _, p_a, _ = components(1.0, moves=(0.5, -0.5))  # both roll gaps
+    assert p_a == pytest.approx(-0.05 * 0.5, abs=1e-12)
 
 
 def test_steady_reward_inside_threshold():
-    *_, r_s = reward_components(make_objective(0.5), RewardConfig())
+    *_, r_s = components(0.5)
     assert r_s == pytest.approx(0.25, abs=1e-12)  # 0.5 * (1 - 0.5)
 
 
 def test_steady_reward_gated_outside_threshold():
-    *_, r_s = reward_components(make_objective(1.5), RewardConfig())
+    *_, r_s = components(1.5)
     assert r_s == 0.0
 
 
@@ -154,8 +152,9 @@ def test_reset_samples_away_from_targets():
     near_starts = 0
     for _ in range(200):
         env.reset()
-        w_err = abs(env.objectives[0].value - env.episode.width_target)
-        h_err = abs(env.objectives[1].value - env.episode.thickness_target)
+        w, h = env.backend.step(*env._setpoints)  # the stub reads its start again
+        w_err = abs(w - env.episode.width_target)
+        h_err = abs(h - env.episode.thickness_target)
         assert w_err >= 5.0 or h_err >= 0.25  # at least one objective starts far
         near_starts += int(w_err < 5.0 or h_err < 0.25)
     assert near_starts > 0  # the curriculum mixes in near-target starts
@@ -181,9 +180,12 @@ def test_reset_gives_up_when_every_draw_reads_the_targets():
 def test_normalized_error_definition():
     env = env_with_stub(seed=2)
     env.reset()
-    for obj, tol in zip(env.objectives, (1.0, 0.05)):
-        assert obj.tolerance == tol
-        assert obj.error == pytest.approx(abs(obj.value - obj.target) / tol)
+    values = env.backend.step(*env._setpoints)
+    targets = (env.episode.width_target, env.episode.thickness_target)
+    assert [obj.tolerance for obj in OBJECTIVES] == [1.0, 0.05]
+    for signed, best, v, target, tol in zip(env._signed, env._best, values, targets, (1.0, 0.05)):
+        assert signed == pytest.approx((v - target) / tol)
+        assert best == abs(signed)
 
 
 def test_action_scaling_moves_knife_by_scale():
@@ -211,6 +213,21 @@ def test_setpoints_respect_actuator_bounds():
             break
     assert env._setpoints[0] <= env.episode.knife_bounds[1]
     assert env._setpoints[1] <= env.episode.gap_bounds[1]
+
+
+def test_action_penalty_charges_the_clamped_move():
+    env = env_with_stub(max_steps=200, seed=5)
+    env.reset()
+    knife_hi = env.episode.knife_bounds[1]
+    while env._setpoints[0] < knife_hi:
+        env.step(np.array([1.0, 0.0, 0.0]))
+    gap = env._setpoints[1]
+    _, _, _, info = env.step(np.array([1.0, 0.5, 0.0]))
+    assert env._setpoints[0] == knife_hi  # a +1 knife action moves nothing at the bound
+    assert info["applied_action_units"][0] == 0.0
+    assert info["components"]["width"][2] == 0.0  # so the width penalty is exactly zero
+    moved = (env._setpoints[1] - gap) / env.episode.gap_scale
+    assert info["components"]["thickness"][2] == -0.05 * float(moved * moved)
 
 
 def test_done_exactly_at_tolerance_boundary():
@@ -242,9 +259,9 @@ def test_done_at_max_steps():
 def test_zero_action_at_fixed_point_keeps_errors():
     env = env_with_stub(seed=8)
     env.reset()
-    e_before = [o.error for o in env.objectives]
+    e_before = [abs(e) for e in env._signed]
     env.step(np.zeros(3))
-    e_after = [o.error for o in env.objectives]
+    e_after = [abs(e) for e in env._signed]
     assert e_after == pytest.approx(e_before, abs=1e-9)  # stub plant has no lag
 
 
@@ -252,12 +269,12 @@ def test_best_error_is_monotone_within_episode():
     env = env_with_stub(seed=10)
     env.reset()
     rng = np.random.default_rng(0)
-    best = [o.best_error for o in env.objectives]
+    best = list(env._best)
     for _ in range(30):
         _, _, done, _ = env.step(rng.uniform(-1, 1, 3))
-        for i, obj in enumerate(env.objectives):
-            assert obj.best_error <= best[i] + 1e-12
-            best[i] = obj.best_error
+        for i, b in enumerate(env._best):
+            assert b <= best[i] + 1e-12
+            best[i] = b
         if done:
             break
 

@@ -11,12 +11,14 @@ import pytest
 
 from filmline import cli
 from filmline.agent import MultiPathPpoAgent
-from filmline.environment import EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig
+from filmline.environment import (
+    EpisodeConfig, FilmLineEnv, ForecastBackend, RewardConfig, run_episodes,
+)
 from filmline.harness import (
     _BRANCH_KEYS, _REFUSED_KEYS, ABLATION_SCENARIO, AppConfig, ExperimentPlan, RunRecord,
     VARIANTS, _coerce, aggregate_records, cell_dir, emit_outputs, load_config, load_records,
-    mean_step_of, run_cell, run_grid, scenario_tag, stable_seed, train_or_load_forecasters,
-    variant_setup, write_csv,
+    mean_step_of, persist_record, run_cell, run_grid, scenario_tag, stable_seed,
+    train_or_load_forecasters, variant_setup, write_csv,
 )
 from filmline.svgplot import LinePlot
 
@@ -294,9 +296,8 @@ def test_reward_variant_step_sums_only_its_terms():
     def first_step(reward_cfg):
         env = FilmLineEnv(LinearBackend(), EpisodeConfig(max_steps=5), reward_cfg, seed=36)
         env.reset()
-        width, thickness = env.objectives
-        action = np.array([-np.sign(width.signed), -0.5 * np.sign(thickness.signed),
-                           -0.5 * np.sign(thickness.signed)])
+        width, thickness = env._signed
+        action = np.array([-np.sign(width), -0.5 * np.sign(thickness), -0.5 * np.sign(thickness)])
         _, reward, _, info = env.step(action)
         return reward, info["components"]
 
@@ -480,6 +481,21 @@ def test_cli_verbs_from_forecaster_to_tables(tmp_path, micro_models, capsys):
     assert table.read_bytes() == grid_bytes
 
 
+@pytest.mark.parametrize("verb", ["train-agent", "evaluate"])
+def test_cli_refuses_a_malformed_scenario_before_any_forecaster_work(tmp_path, capsys, verb):
+    out = tmp_path / "out"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[forecaster]\nwindow = 12\nconv_kernel = 3\nconv_channels = 4\n"
+                   "lstm_hidden = 4\nskip_hidden = 2\nskip_period = 2\nfusion_hidden = 4\n"
+                   "batch_size = 256\nepochs = 1\n"
+                   "[experiment]\ndataset_steps = 1000\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--config", str(ini), "--out-dir", str(out), "--scenario", "480"])
+    assert exc.value.code == 2  # an argparse usage error
+    assert "--scenario" in capsys.readouterr().err
+    assert not (out / "forecaster").exists()
+
+
 def test_python_dash_m_filmline_runs_the_cli_from_a_checkout():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -505,6 +521,25 @@ def test_stored_forecasters_load_only_under_their_config(tmp_path, micro_models,
     cfg.forecaster = replace(width.cfg, **change)
     with pytest.raises(ValueError, match="width.npz"):
         train_or_load_forecasters(cfg, str(tmp_path))
+
+
+def test_trace_csv_has_each_objectives_reward_terms_in_order(tmp_path):
+    env = FilmLineEnv(LinearBackend(), EpisodeConfig(max_steps=3), RewardConfig(), seed=0)
+    trace = run_episodes(env, lambda state: np.array([1.0, -0.5, 0.5]), 1)[0]["trace"]
+    rec = RunRecord("mpd-ppo", (480.0, 3.0), 3, 0, 3.0, [3], [], trace, 0.0)
+    persist_record(str(tmp_path), rec)
+    with open(os.path.join(cell_dir(str(tmp_path), rec), "trace.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    assert header.split(",") == [
+        "step", "width", "thickness", "width_target", "thickness_target",
+        "a_knife", "a_ds", "a_os",
+        "width_r_error", "width_r_progress", "width_p_action", "width_r_steady",
+        "thickness_r_error", "thickness_r_progress", "thickness_p_action",
+        "thickness_r_steady", "done"]
+    assert len(rows) == len(trace)
+    for row, info in zip(rows, trace):
+        cells = [float(v) for v in row.split(",")]
+        assert cells[8:16] == [*info["components"]["width"], *info["components"]["thickness"]]
 
 
 def test_run_cell_is_byte_deterministic(tmp_path, tiny_app_config, micro_models):
